@@ -2,9 +2,10 @@
 //! runtime that survives node failures, rebalances live, and prunes its
 //! scatter to the nodes a batch actually needs.
 //!
-//! A single [`Engine`](crate::Engine) tops out at one machine's worker
-//! pool and one MP-Cache. This module serves the same traces across a
-//! *changing* set of simulated nodes:
+//! One machine's worker pool and one MP-Cache only go so far. This
+//! module serves a trace across a *changing* set of simulated nodes —
+//! and it is the runtime's only dispatcher: the single-node
+//! [`Engine`](crate::Engine) is the `nodes = 1` case of this cluster.
 //!
 //! * a **consistent-hash feature-shard router**
 //!   ([`FeatureShardPlan`] over [`mprec_core::ring::HashRing`])
@@ -15,9 +16,10 @@
 //!   re-owns only the ~K/N remapped features, computed incrementally
 //!   through the ring's remap-diff API ([`HashRing::diff`] +
 //!   [`FeatureShardPlan::apply`]);
-//! * a **front-end** micro-batches and routes queries exactly like the
-//!   single-node engine (Algorithm 2 in deterministic virtual time, via
-//!   the shared [`mprec_core::scheduler::select_mapping`] rule), then
+//! * a **front-end** micro-batches queries per tenant and routes each
+//!   batch by Algorithm 2 in deterministic virtual time (the shared
+//!   [`mprec_core::scheduler::select_mapping`] rule over its own
+//!   per-node `free_at` ledger), then
 //!   **scatters** each batch to the *pruned* target set of the routed
 //!   path — only the nodes whose per-node cache state the path touches,
 //!   plus one designated executor for replicated table-only work;
@@ -116,9 +118,7 @@ use parking_lot::{Condvar, Mutex};
 
 pub use mprec_core::ring::FeatureShardPlan;
 
-use crate::engine::{
-    build_path_mappings, degrade_rank, PathAccuracy, RoutePolicy, TenantReport, TenantTally,
-};
+use crate::engine::{build_path_mappings, degrade_rank, PathAccuracy, RoutePolicy, TenantReport};
 use crate::histogram::{LatencyHistogram, DEFAULT_SUBS_PER_OCTAVE};
 use crate::model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};
 use crate::queue::BoundedQueue;
@@ -548,6 +548,23 @@ struct MergerReport {
     ring: Option<EventRing>,
 }
 
+impl MergerReport {
+    /// An empty report; the ring (if any) preallocates here, before the
+    /// first batch, so steady-state recording never allocates.
+    fn new(histogram_subs: u32, start: Instant, recorder: TraceConfig) -> Self {
+        MergerReport {
+            histogram: LatencyHistogram::with_subs_per_octave(histogram_subs),
+            completed: 0,
+            samples: 0,
+            measured_violations: 0,
+            checksum: 0.0,
+            last_done: start,
+            error: None,
+            ring: recorder.ring(),
+        }
+    }
+}
+
 /// Cross-thread progress ledger: how many batches the merger has fully
 /// gathered, plus a failure flag. The front-end blocks on it at epoch
 /// boundaries (quiescence barrier) so cache snapshots and queue
@@ -654,6 +671,27 @@ struct DispatchTally {
     last_done_us: f64,
 }
 
+impl DispatchTally {
+    /// Records `event()` on the dispatcher track; the event is only
+    /// built when the flight recorder is on.
+    fn trace(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(ring) = self.ring.as_mut() {
+            ring.record(event());
+        }
+    }
+}
+
+/// One tenant's in-flight front-end tallies.
+#[derive(Debug, Default)]
+struct TenantTally {
+    completed: u64,
+    samples: u64,
+    shed: u64,
+    violations: u64,
+    latency_sum_us: f64,
+    vhist: LatencyHistogram,
+}
+
 /// One internal rebalance step on the virtual-time axis. The configured
 /// [`ChurnEvent`]s expand into these at build time: a failure or a
 /// legacy barrier join stays a single step, a streaming join becomes a
@@ -745,7 +783,7 @@ impl Cluster {
             cfg.tenants.validate().map_err(RuntimeError::BadConfig)?;
             // Default the per-tenant ID skews off the traffic spec so a
             // tenanted cluster gets distinct hot sets without repeating
-            // the exponents in the model config (matches Engine::new).
+            // the exponents in the model config.
             if cfg.model.tenant_zipf.is_empty() {
                 cfg.model.tenant_zipf = cfg.tenants.tenants.iter().map(|t| t.id_zipf).collect();
             }
@@ -1069,6 +1107,11 @@ impl Cluster {
         &self.paths
     }
 
+    /// The first replica's model (the single-node engine's only one).
+    pub(crate) fn boot_model(&self) -> &RuntimeModel {
+        &self.nodes[0].model
+    }
+
     /// Replica node ids in construction order (initial nodes, then
     /// joiners) — the axis of every per-node report vector.
     pub fn node_ids(&self) -> Vec<u32> {
@@ -1254,11 +1297,8 @@ impl Cluster {
             let model = Arc::clone(&self.nodes[0].model);
             let progress = Arc::clone(&progress);
             let sla_us = self.cfg.sla_us;
-            let subs = self.cfg.histogram_subs;
-            let emb_dim = self.cfg.model.emb_dim;
-            std::thread::spawn(move || {
-                merger_loop(&merge, &model, &progress, sla_us, subs, emb_dim, start, recorder)
-            })
+            let report = MergerReport::new(self.cfg.histogram_subs, start, recorder);
+            std::thread::spawn(move || merger_loop(&merge, &model, &progress, sla_us, report))
         };
 
         let tally = self.dispatch(&trace, &node_queues, &progress, start);
@@ -1268,12 +1308,19 @@ impl Cluster {
         let mut node_batches = vec![0u64; self.nodes.len()];
         let mut worker_rings: Vec<(String, EventRing)> = Vec::new();
         let mut worker_error: Option<String> = None;
+        // Every thread is joined before any error returns; a panicked
+        // one (its guards already closed its queues and failed the
+        // progress ledger, so nobody is left blocked) ends the serve in
+        // `Err`, never in a caller panic.
         for (i, w) in workers.into_iter().enumerate() {
-            let mut report = w.join().expect("node worker thread panicked");
             let node_slot = i / self.cfg.workers_per_node;
+            let node = self.nodes[node_slot].id;
+            let Ok(mut report) = w.join() else {
+                worker_error.get_or_insert_with(|| format!("node {node} worker thread panicked"));
+                continue;
+            };
             node_batches[node_slot] += report.batches;
             if let Some(ring) = report.ring.take() {
-                let node = self.nodes[node_slot].id;
                 let worker = i % self.cfg.workers_per_node;
                 worker_rings.push((format!("node-{node}-worker-{worker}"), ring));
             }
@@ -1282,10 +1329,11 @@ impl Cluster {
             }
         }
         merge_queue.close();
-        let merged = merger.join().expect("merger thread panicked");
+        let merged = merger.join();
         if let Some(msg) = worker_error {
             return Err(RuntimeError::Worker(msg));
         }
+        let merged = merged.map_err(|_| RuntimeError::Worker("merger thread panicked".into()))?;
         if let Some(msg) = merged.error {
             return Err(RuntimeError::Worker(msg));
         }
@@ -1295,25 +1343,6 @@ impl Cluster {
             ));
         }
         Ok(self.assemble(tally, merged, node_batches, worker_rings, start))
-    }
-
-    /// Ships a joining node its owned features' dynamic-tier entries via
-    /// the remap diff: every feature the new plan (`epoch_idx`) assigns
-    /// to the joiner moved off some old owner (the joiner owned nothing
-    /// before), so each old owner exports those features' warm entries
-    /// as a persistent segment and the joiner loads them into its disk
-    /// tier. First traffic then hits disk (charged
-    /// [`ClusterConfig::disk_hit_us`] via the epoch profiles) and
-    /// promotes into RAM — no cold rewarm from scratch. Owners are
-    /// visited in ascending id order so the hand-off is deterministic.
-    ///
-    /// Must be called at a quiescence barrier (no in-flight batches).
-    /// Returns the number of warm entries shipped to the joiner (the
-    /// flight recorder's `WarmStart` payload).
-    fn warm_start_joiner(&self, joiner: u32, epoch_idx: usize) -> u64 {
-        let new_plan = &self.epochs[epoch_idx].plan;
-        let old_plan = &self.epochs[epoch_idx - 1].plan;
-        self.ship_features(joiner, old_plan, new_plan.features_of(joiner))
     }
 
     /// Ships `feats`' warm cache entries — dynamic *and* disk tier —
@@ -1365,8 +1394,22 @@ impl Cluster {
         }
     }
 
+    /// Every replica's cumulative cache counters, in replica order.
+    /// Exact only at a quiescence barrier (no batch in flight).
+    fn cache_snapshot(&self) -> Vec<CacheStats> {
+        self.nodes.iter().map(|n| n.model.cache().stats()).collect()
+    }
+
     /// Front-end loop: virtual-time batching + routing + pruned
     /// scatter, walking the churn schedule as flush times pass events.
+    ///
+    /// Queries batch *per tenant* (a tenant never shares a micro-batch
+    /// with another tenant's SLA class). Tenants whose batch deadline
+    /// passes are flushed in (deadline, tenant) order before the next
+    /// arrival, so the interleaving is a pure function of the trace —
+    /// the replay twins reproduce it decision-for-decision. A legacy
+    /// trace (every id tenant 0) collapses to the historical
+    /// single-pending behaviour bit for bit.
     fn dispatch(
         &self,
         trace: &[Query],
@@ -1374,769 +1417,56 @@ impl Cluster {
         progress: &Progress,
         start: Instant,
     ) -> DispatchTally {
-        let slots = self.nodes.len();
-        let mut tally = DispatchTally {
-            usage: PathUsage::default(),
-            correct_samples: 0.0,
-            virtual_violations: 0,
-            routed: 0,
-            decisions: Vec::new(),
-            per_tenant: Vec::new(),
-            virtual_histogram: LatencyHistogram::with_subs_per_octave(self.cfg.histogram_subs),
-            retried_batches: 0,
-            retried_queries: 0,
-            shed_queries: 0,
-            leg_timeouts: 0,
-            hedged_legs: 0,
-            leg_retries: 0,
-            epoch_batches: vec![0; self.epochs.len()],
-            migration_steps: 0,
-            adaptive_replans: 0,
-            epoch_snapshots: Vec::new(),
-            aborted: false,
-            ring: self.cfg.recorder.ring(),
-            registry: MetricsRegistry::new(slots),
-            epoch_metrics: Vec::new(),
-            busy_us: vec![0.0; slots],
-            slack: LatencyHistogram::with_subs_per_octave(self.cfg.histogram_subs),
-            last_done_us: 0.0,
-        };
-        let mut free_at = vec![0.0f64; self.nodes.len()];
-        let mut cur_epoch = 0usize;
-        let mut dispatched = 0u64;
-        // One pending list per tenant: each tenant batches on its own
-        // deadline axis (same contract as the single-node engine), so a
-        // legacy trace (every id tenant 0) collapses to the historical
-        // single-pending behaviour bit for bit.
-        let tenant_count = trace
-            .iter()
-            .map(|q| scenario::tenant_of(q.id) as usize + 1)
-            .max()
-            .unwrap_or(1)
-            .max(self.cfg.tenants.tenant_count());
-        tally.per_tenant = (0..tenant_count).map(|_| TenantTally::new()).collect();
-        let classes: Vec<SlaClass> = (0..tenant_count)
-            .map(|t| self.cfg.tenants.class_of(t as u32, self.cfg.sla_us))
-            .collect();
-        let mut pending: Vec<Vec<&Query>> = vec![Vec::new(); tenant_count];
-        let mut pending_samples: Vec<u64> = vec![0; tenant_count];
-        // Overlay epochs the adaptive planner opens mid-serve, indexed
-        // after the static schedule; published to `self.adaptive` at
-        // the end so `replay_spec` and `assemble` see them.
-        let mut dyn_epochs: Vec<ClusterEpoch> = Vec::new();
-        let mut dyn_event_at: Vec<f64> = Vec::new();
-        let mut last_adaptive_us = f64::NEG_INFINITY;
-
-        macro_rules! advance_epochs {
-            ($t:expr) => {
-                while cur_epoch < self.events.len()
-                    && self.events[cur_epoch].at_us <= $t
-                    && !tally.aborted
-                {
-                    // Wall-clock quiescence (zero virtual cost): every
-                    // dispatched batch is merged before the snapshot,
-                    // shipping, and teardown, so per-epoch cache deltas
-                    // are exact and a failed node's queue is provably
-                    // drained. A streaming step differs from the legacy
-                    // barrier in *virtual* time only: it flips one
-                    // chunk of ownership instead of the whole plan, so
-                    // routing never pays a stop-the-world profile shock.
-                    if !progress.wait_for_batches(dispatched) {
-                        tally.aborted = true;
-                        break;
-                    }
-                    tally
-                        .epoch_snapshots
-                        .push(self.nodes.iter().map(|n| n.model.cache().stats()).collect());
-                    let at_us = self.events[cur_epoch].at_us;
-                    let new_epoch = (cur_epoch + 1) as u64;
-                    match &self.events[cur_epoch].action {
-                        RebalanceAction::Fail(node) => {
-                            if let Some(ring) = tally.ring.as_mut() {
-                                ring.record(TraceEvent::epoch_barrier(
-                                    at_us, *node, new_epoch, false,
-                                ));
-                            }
-                            node_queues[self.slot_of(*node)].close();
-                        }
-                        RebalanceAction::Join(node) => {
-                            if let Some(ring) = tally.ring.as_mut() {
-                                ring.record(TraceEvent::epoch_barrier(
-                                    at_us, *node, new_epoch, true,
-                                ));
-                            }
-                            // Warm-start: ship the joiner its owned
-                            // features' warm cache entries instead of
-                            // rewarming from traffic. Safe here: the
-                            // quiescence means no worker is touching
-                            // any cache.
-                            let entries = self.warm_start_joiner(*node, cur_epoch + 1);
-                            if let Some(ring) = tally.ring.as_mut() {
-                                ring.record(TraceEvent::warm_start(
-                                    at_us, *node, entries, new_epoch,
-                                ));
-                            }
-                        }
-                        RebalanceAction::WindowOpen { node, moves } => {
-                            if let Some(ring) = tally.ring.as_mut() {
-                                ring.record(TraceEvent::migration_start(
-                                    at_us, *node, *moves, new_epoch,
-                                ));
-                            }
-                        }
-                        RebalanceAction::ChunkFlip { node, feats } => {
-                            // Dual-write realization: everything the old
-                            // owners hold for this chunk — including
-                            // entries admitted *during* the window, which
-                            // went to the old owners because reads did —
-                            // ships right before the flip.
-                            let entries = self.ship_features(
-                                *node,
-                                &self.epochs[cur_epoch].plan,
-                                feats,
-                            );
-                            tally.migration_steps += 1;
-                            if let Some(ring) = tally.ring.as_mut() {
-                                ring.record(TraceEvent::migration_done(
-                                    at_us,
-                                    *node,
-                                    entries,
-                                    new_epoch,
-                                    feats.len() as u64,
-                                ));
-                            }
-                        }
-                        // The lift only swaps penalized routing profiles
-                        // for clean ones; no cache or queue side effects.
-                        RebalanceAction::PenaltyLift => {}
-                    }
-                    // Close the departing epoch's metric window at the
-                    // event timestamp (quiescent, so the just-pushed
-                    // cache snapshot is exact).
-                    self.close_epoch_metrics(&mut tally, &free_at, at_us, &dyn_epochs);
-                    cur_epoch += 1;
-                }
-            };
-        }
-
-        let degrade_ranks: Vec<u32> = self.paths.iter().map(|&p| degrade_rank(p)).collect();
-        let mut route_completions: Vec<f64> = Vec::new();
-        let mut flush = |pending: &mut Vec<&Query>,
-                         pending_samples: &mut u64,
-                         tenant: usize,
-                         flush_at_us: f64,
-                         tally: &mut DispatchTally,
-                         free_at: &mut Vec<f64>,
-                         cur_epoch: &mut usize,
-                         dispatched: &mut u64,
-                         dyn_epochs: &mut Vec<ClusterEpoch>,
-                         dyn_event_at: &mut Vec<f64>,
-                         last_adaptive_us: &mut f64| {
-            if pending.is_empty() {
-                return;
-            }
-            if tally.aborted || progress.failed() {
-                tally.aborted = true;
-                pending.clear();
-                *pending_samples = 0;
-                return;
-            }
-            // Adaptive re-planning: once the static schedule is
-            // exhausted, watch the live nodes' virtual backlog at every
-            // flush. A sustained imbalance (hot-key drift parks the hot
-            // features' owner at the back of every queue) triggers a
-            // partial migration: ship the busiest node's lowest-id
-            // owned features to the idlest live node and open an
-            // overlay epoch at the flush instant. The trigger reads
-            // only virtual state (`free_at`, flush time), so it is
-            // deterministic, and the triggering flush itself routes
-            // under the new epoch — exactly when the replay twin
-            // switches, since the spec event carries this timestamp.
-            if self.cfg.rebalance.adaptive
-                && *cur_epoch >= self.events.len()
-                && flush_at_us - *last_adaptive_us >= self.cfg.rebalance.adaptive_cooldown_us
-            {
-                let cur = self.epoch_at(dyn_epochs, *cur_epoch);
-                let backlog =
-                    |id: u32| (free_at[self.slot_of(id)] - flush_at_us).max(0.0);
-                let mut busiest = cur.live[0];
-                let mut idlest = cur.live[0];
-                for &id in cur.live.iter().skip(1) {
-                    if backlog(id) > backlog(busiest) {
-                        busiest = id;
-                    }
-                    if backlog(id) < backlog(idlest) {
-                        idlest = id;
-                    }
-                }
-                let imbalance = backlog(busiest) - backlog(idlest);
-                let moved: Vec<usize> = cur
-                    .plan
-                    .features_of(busiest)
-                    .iter()
-                    .copied()
-                    .take(self.cfg.rebalance.adaptive_max_moves.max(1))
-                    .collect();
-                if busiest != idlest
-                    && imbalance >= self.cfg.rebalance.adaptive_threshold_us
-                    && !moved.is_empty()
-                {
-                    let old_plan = cur.plan.clone();
-                    // Quiesce (wall-clock only — zero virtual cost) so
-                    // the boundary snapshot and the shipped segments
-                    // are exact.
-                    if !progress.wait_for_batches(*dispatched) {
-                        tally.aborted = true;
-                        pending.clear();
-                        *pending_samples = 0;
-                        return;
-                    }
-                    tally
-                        .epoch_snapshots
-                        .push(self.nodes.iter().map(|n| n.model.cache().stats()).collect());
-                    let entries = self.ship_features(idlest, &old_plan, &moved);
-                    let mut plan = old_plan;
-                    plan.reassign(&moved, idlest);
-                    let epoch = build_epoch(
-                        &self.cfg,
-                        &self.nodes,
-                        flush_at_us,
-                        &self.ring,
-                        &plan,
-                        None,
-                    )
-                    .expect("overlay epoch shares the boot epoch's validated shape");
-                    let new_epoch = (*cur_epoch + 1) as u64;
-                    if let Some(ring) = tally.ring.as_mut() {
-                        ring.record(TraceEvent::migration_start(
-                            flush_at_us,
-                            idlest,
-                            moved.len() as u64,
-                            new_epoch,
-                        ));
-                        ring.record(TraceEvent::migration_done(
-                            flush_at_us,
-                            idlest,
-                            entries,
-                            new_epoch,
-                            moved.len() as u64,
-                        ));
-                    }
-                    self.close_epoch_metrics(tally, free_at, flush_at_us, dyn_epochs);
-                    dyn_epochs.push(epoch);
-                    dyn_event_at.push(flush_at_us);
-                    tally.epoch_batches.push(0);
-                    tally.migration_steps += 1;
-                    tally.adaptive_replans += 1;
-                    *last_adaptive_us = flush_at_us;
-                    *cur_epoch += 1;
-                }
-            }
-            let e = *cur_epoch;
-            let ep = self.epoch_at(dyn_epochs, e);
-            // Brownout gauge: the worst live-node virtual backlog at the
-            // flush instant — the same value both twins derive from
-            // their own `free_at` ledgers.
-            let backlog_us = ep
-                .live
-                .iter()
-                .map(|&id| (free_at[self.slot_of(id)] - flush_at_us).max(0.0))
-                .fold(0.0f64, f64::max);
-            let class = &classes[tenant];
-            if class.sheds(backlog_us) {
-                // Class shed: the loose tenant's whole batch takes an
-                // explicit Shed outcome instead of queueing — strict
-                // tenants keep routing through the same overload.
-                let tt = &mut tally.per_tenant[tenant];
-                for q in pending.iter() {
-                    tally.shed_queries += 1;
-                    tt.shed += 1;
-                    tally.registry.add(MetricId::ShedQueries, 0, 1);
-                    if let Some(ring) = tally.ring.as_mut() {
-                        ring.record(TraceEvent::shed(flush_at_us, q.id, q.size as u64, backlog_us));
-                    }
-                }
-                pending.clear();
-                *pending_samples = 0;
-                return;
-            }
-            // Last brownout rung: shed low-priority queries (by the
-            // sequence-modulus policy) before routing, each with an
-            // explicit Shed outcome — never a silent drop.
-            if self.cfg.chaos.brownout && backlog_us >= self.cfg.chaos.brownout_shed_us {
-                pending.retain(|q| {
-                    if self.cfg.chaos.sheds(backlog_us, scenario::sequence_of(q.id)) {
-                        *pending_samples -= q.size as u64;
-                        tally.shed_queries += 1;
-                        tally.per_tenant[tenant].shed += 1;
-                        tally.registry.add(MetricId::ShedQueries, 0, 1);
-                        if let Some(ring) = tally.ring.as_mut() {
-                            ring.record(TraceEvent::shed(
-                                flush_at_us,
-                                q.id,
-                                q.size as u64,
-                                backlog_us,
-                            ));
-                        }
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if pending.is_empty() {
-                    *pending_samples = 0;
-                    return;
-                }
-            }
-            let oldest_us = pending[0].arrival_us as f64;
-            let sla_remaining = (class.sla_us - (flush_at_us - oldest_us)).max(1.0);
-            let samples = *pending_samples;
-
-            // Route under the current epoch's capacity-aware profiles
-            // with per-node queue depth visible to Algorithm 2 (the
-            // chaos brownout ladder and the tenant's SLA-class pressure
-            // ladder both narrow the candidate set on the same cost
-            // vector when the backlog gauge crosses their rungs).
-            let (idx, exec, start_us, browned_out) = self.route_in_epoch(
-                ep,
-                samples,
-                sla_remaining,
-                flush_at_us,
-                free_at,
-                &degrade_ranks,
-                backlog_us,
-                class,
-                &mut route_completions,
-            );
-            if browned_out {
-                tally.registry.add(MetricId::BrownoutBatches, 0, 1);
-            }
-            let batch = tally.decisions.len() as u64;
-            if let Some(ring) = tally.ring.as_mut() {
-                ring.record(TraceEvent::batch_formed(
-                    flush_at_us,
-                    batch,
-                    pending.len() as u64,
-                    samples,
-                    oldest_us,
-                ));
-                ring.record(TraceEvent::route_decision(
-                    flush_at_us,
-                    batch,
-                    samples,
-                    e as u64,
-                    sla_remaining,
-                    idx as i32,
-                    &route_completions,
-                ));
-                for &(id, _) in &ep.assignments[idx] {
-                    ring.record(TraceEvent::scatter(flush_at_us, batch, id, e as u64));
-                }
-            }
-            let mut done_us;
-            let mut final_exec = exec;
-            if self.cfg.chaos.timeouts_enabled() {
-                // Chaos leg resolution: every scatter leg runs the
-                // timeout / hedge / backoff-retry ladder against the
-                // fault plan. Every attempt — lost, hedged, or timed
-                // out — is charged to its node's virtual ledger, so
-                // failed work back-pressures routing exactly like real
-                // work and the virtual histogram carries both legs.
-                let chaos = self.cfg.chaos;
-                let faults = &self.cfg.faults;
-                let timeout = chaos.timeout_mult * exec;
-                let mut batch_done = f64::NEG_INFINITY;
-                for &(id, _) in &ep.assignments[idx] {
-                    let slot = self.slot_of(id);
-                    tally.registry.add(MetricId::BatchesDispatched, slot, 1);
-                    let mut a_start = start_us;
-                    let mut attempt = 0u32;
-                    let leg_done = loop {
-                        let eff = exec * faults.straggler_multiplier(id, a_start);
-                        let lost = faults.drops_leg(id, a_start, attempt);
-                        free_at[slot] = free_at[slot].max(a_start) + eff;
-                        tally.busy_us[slot] += eff;
-                        let mut cand = if lost { f64::INFINITY } else { a_start + eff };
-                        let deadline = a_start + timeout;
-                        // Hedge once, on the first attempt: past the
-                        // hedge fraction of the budget, re-issue to the
-                        // node's ring successor; first result wins.
-                        if attempt == 0
-                            && chaos.hedging
-                            && cand > a_start + chaos.hedge_frac * timeout
-                        {
-                            let hedge_to = ep
-                                .hedge_next
-                                .iter()
-                                .find(|&&(n, _)| n == id)
-                                .map(|&(_, s)| s);
-                            if let Some(h) = hedge_to {
-                                let hslot = self.slot_of(h);
-                                let hedge_at = a_start + chaos.hedge_frac * timeout;
-                                let h_start = free_at[hslot].max(hedge_at);
-                                let h_eff = exec * faults.straggler_multiplier(h, h_start);
-                                // The hedge is attempt 1 on the target:
-                                // a ScatterLoss window (first attempts
-                                // only) cannot eat it, a Stall can.
-                                let h_lost = faults.drops_leg(h, h_start, 1);
-                                free_at[hslot] = free_at[hslot].max(h_start) + h_eff;
-                                tally.busy_us[hslot] += h_eff;
-                                tally.hedged_legs += 1;
-                                tally.registry.add(MetricId::HedgedLegs, hslot, 1);
-                                if let Some(ring) = tally.ring.as_mut() {
-                                    ring.record(TraceEvent::hedge(hedge_at, batch, id, h));
-                                }
-                                if !h_lost {
-                                    cand = cand.min(h_start + h_eff);
-                                }
-                            }
-                        }
-                        if cand <= deadline {
-                            break cand;
-                        }
-                        tally.leg_timeouts += 1;
-                        tally.registry.add(MetricId::LegTimeouts, slot, 1);
-                        if let Some(ring) = tally.ring.as_mut() {
-                            ring.record(TraceEvent::timeout(deadline, batch, id, attempt, timeout));
-                        }
-                        if attempt >= chaos.max_retries {
-                            // Retries exhausted: force completion with
-                            // one more clean execution charged at the
-                            // deadline, so every batch still finishes
-                            // and the total stays invariant.
-                            free_at[slot] = free_at[slot].max(deadline) + exec;
-                            tally.busy_us[slot] += exec;
-                            break deadline + exec;
-                        }
-                        attempt += 1;
-                        tally.leg_retries += 1;
-                        tally.registry.add(MetricId::LegRetries, slot, 1);
-                        a_start = deadline
-                            + chaos.backoff_base_us * (1u64 << (attempt - 1)) as f64;
-                    };
-                    batch_done = batch_done.max(leg_done);
-                }
-                done_us = batch_done;
-            } else {
-                done_us = start_us + exec;
-                for &(id, _) in &ep.assignments[idx] {
-                    let slot = self.slot_of(id);
-                    free_at[slot] = free_at[slot].max(flush_at_us) + exec;
-                    tally.registry.add(MetricId::BatchesDispatched, slot, 1);
-                    tally.busy_us[slot] += exec;
-                }
-            }
-
-            // Failure retries: a fail event inside this batch's flight
-            // window whose victim is one of its targets restarts the
-            // batch — at the failure instant, under the post-failure
-            // plan — and the queries carry both legs' latency.
-            // Only failures retry: streaming sub-steps and adaptive
-            // re-plans keep every in-flight batch valid (its epoch's
-            // owners still hold the features' warm state until the
-            // flip, and the flip itself is preceded by shipping).
-            let mut exec_epoch = e;
-            let mut retried = false;
-            let mut scan = e;
-            while scan < self.events.len() {
-                let ev_at = self.events[scan].at_us;
-                if ev_at >= done_us {
-                    break;
-                }
-                if let RebalanceAction::Fail(failed) = self.events[scan].action {
-                    if self
-                        .epoch_at(dyn_epochs, exec_epoch)
-                        .assignments[idx]
-                        .iter()
-                        .any(|&(id, _)| id == failed)
-                    {
-                        exec_epoch = scan + 1;
-                        retried = true;
-                        tally.retried_batches += 1;
-                        let retry_ep = self.epoch_at(dyn_epochs, exec_epoch);
-                        let retry_exec =
-                            retry_ep.mappings.mappings[idx].profile.latency_us(samples);
-                        let retry_start = retry_ep.assignments[idx]
-                            .iter()
-                            .map(|&(id, _)| free_at[self.slot_of(id)])
-                            .fold(f64::NEG_INFINITY, f64::max)
-                            .max(ev_at);
-                        done_us = retry_start + retry_exec;
-                        final_exec = retry_exec;
-                        if let Some(ring) = tally.ring.as_mut() {
-                            ring.record(TraceEvent::retry(ev_at, batch, failed, exec_epoch as u64));
-                            for &(id, _) in &retry_ep.assignments[idx] {
-                                ring.record(TraceEvent::scatter(ev_at, batch, id, exec_epoch as u64));
-                            }
-                        }
-                        for &(id, _) in &retry_ep.assignments[idx] {
-                            let slot = self.slot_of(id);
-                            free_at[slot] = free_at[slot].max(ev_at) + retry_exec;
-                            tally.registry.add(MetricId::BatchesDispatched, slot, 1);
-                            tally.busy_us[slot] += retry_exec;
-                        }
-                    }
-                }
-                scan += 1;
-            }
-
-            let path = self.paths[idx];
-            tally.decisions.push(path);
-            tally.epoch_batches[e] += 1;
-            if retried {
-                tally.retried_queries += pending.len() as u64;
-            }
-            if let Some(ring) = tally.ring.as_mut() {
-                ring.record(TraceEvent::execute(
-                    done_us - final_exec,
-                    batch,
-                    exec_epoch as u64,
-                    done_us,
-                ));
-            }
-            tally.last_done_us = tally.last_done_us.max(done_us);
-            let accuracy = self.cfg.accuracy.of(path) as f64;
-            let label = &self.labels[idx];
-            let now = Instant::now();
-            let mut specs = Vec::with_capacity(pending.len());
-            let mut queries = Vec::with_capacity(pending.len());
-            let mut total = 0usize;
-            for q in pending.iter() {
-                let virtual_latency = done_us - q.arrival_us as f64;
-                tally.virtual_histogram.record(virtual_latency);
-                tally.slack.record((class.sla_us - virtual_latency).max(0.0));
-                let tt = &mut tally.per_tenant[tenant];
-                if virtual_latency > class.sla_us {
-                    tally.virtual_violations += 1;
-                    tt.violations += 1;
-                    tally.registry.add(MetricId::SlaViolations, 0, 1);
-                }
-                tt.completed += 1;
-                tt.samples += q.size as u64;
-                tt.latency_sum_us += virtual_latency;
-                tt.vhist.record(virtual_latency);
-                tally.correct_samples += q.size as f64 * accuracy;
-                tally.usage.record(label, q.size as u64);
-                tally.routed += 1;
-                if let Some(ring) = tally.ring.as_mut() {
-                    ring.record(TraceEvent::complete(done_us, q.id, batch, virtual_latency));
-                }
-                specs.push((q.id, q.size as u64));
-                total += q.size;
-                queries.push(WorkQuery {
-                    size: q.size as u64,
-                    real_arrival: if self.cfg.pace_ingress {
-                        start + Duration::from_micros(q.arrival_us)
-                    } else {
-                        now
-                    },
-                });
-            }
-            // Real execution happens once, under the final (post-retry)
-            // epoch's pruned assignment — the wasted attempt exists
-            // only in virtual time, so sharded math and cache state
-            // stay deterministic.
-            let assignment = &self.epoch_at(dyn_epochs, exec_epoch).assignments[idx];
-            let shared = Arc::new(BatchShared {
-                path,
-                specs,
-                queries,
-                total,
-                batch,
-                vstart_us: done_us - final_exec,
-                vdone_us: done_us,
-                partials: (0..assignment.len()).map(|_| Mutex::new(None)).collect(),
-                pending: AtomicUsize::new(assignment.len()),
-            });
-            for (slot, (node_id, feats)) in assignment.iter().enumerate() {
-                let qslot = self.slot_of(*node_id);
-                // push only fails when a panicking worker closed its
-                // queue; the join in serve() surfaces that panic.
-                let _ = node_queues[qslot].push(ScatterJob {
-                    shared: Arc::clone(&shared),
-                    slot,
-                    features: Arc::clone(feats),
-                });
-            }
-            *dispatched += 1;
-            pending.clear();
-            *pending_samples = 0;
-        };
-
-        // Earliest batch deadline among tenants with pending queries
-        // (ties keep the lowest tenant index — the scan is ascending).
-        let earliest_deadline = |pending: &[Vec<&Query>]| -> Option<(f64, usize)> {
-            let mut due: Option<(f64, usize)> = None;
-            for (t, p) in pending.iter().enumerate() {
-                if let Some(first) = p.first() {
-                    let d = first.arrival_us as f64 + self.cfg.max_batch_wait_us;
-                    if due.is_none_or(|(bd, _)| d < bd) {
-                        due = Some((d, t));
-                    }
-                }
-            }
-            due
-        };
-
+        let mut fe = FrontEnd::new(self, trace, node_queues, progress, start);
+        let pace = self.cfg.pace_ingress;
+        let budget = self.cfg.max_batch_samples as u64;
         for q in trace {
             let arrival_us = q.arrival_us as f64;
             // Deadline-triggered flushes strictly before this arrival,
             // across all tenants, in (deadline, tenant) order — each
             // flush walks the churn schedule up to its own instant.
-            while let Some((deadline, t)) = earliest_deadline(&pending) {
+            while let Some((deadline, t)) = fe.earliest_deadline() {
                 if arrival_us <= deadline {
                     break;
                 }
-                if self.cfg.pace_ingress {
+                if pace {
                     sleep_until(start, deadline);
                 }
-                advance_epochs!(deadline);
-                flush(
-                    &mut pending[t],
-                    &mut pending_samples[t],
-                    t,
-                    deadline,
-                    &mut tally,
-                    &mut free_at,
-                    &mut cur_epoch,
-                    &mut dispatched,
-                    &mut dyn_epochs,
-                    &mut dyn_event_at,
-                    &mut last_adaptive_us,
-                );
+                fe.flush(t, deadline);
             }
-            if self.cfg.pace_ingress {
+            if pace {
                 sleep_until(start, arrival_us);
             }
             let t = scenario::tenant_of(q.id) as usize;
             // Size-triggered flush: don't blow the batch budget by adding.
-            if !pending[t].is_empty()
-                && pending_samples[t] + q.size as u64 > self.cfg.max_batch_samples as u64
-            {
-                advance_epochs!(arrival_us);
-                flush(
-                    &mut pending[t],
-                    &mut pending_samples[t],
-                    t,
-                    arrival_us,
-                    &mut tally,
-                    &mut free_at,
-                    &mut cur_epoch,
-                    &mut dispatched,
-                    &mut dyn_epochs,
-                    &mut dyn_event_at,
-                    &mut last_adaptive_us,
-                );
+            if !fe.pending[t].is_empty() && fe.pending_samples[t] + q.size as u64 > budget {
+                fe.flush(t, arrival_us);
             }
-            pending[t].push(q);
-            pending_samples[t] += q.size as u64;
-            if let Some(ring) = tally.ring.as_mut() {
-                ring.record(TraceEvent::enqueue(arrival_us, q.id, q.size as u64));
-            }
-            if pending_samples[t] >= self.cfg.max_batch_samples as u64 {
-                advance_epochs!(arrival_us);
-                flush(
-                    &mut pending[t],
-                    &mut pending_samples[t],
-                    t,
-                    arrival_us,
-                    &mut tally,
-                    &mut free_at,
-                    &mut cur_epoch,
-                    &mut dispatched,
-                    &mut dyn_epochs,
-                    &mut dyn_event_at,
-                    &mut last_adaptive_us,
-                );
+            fe.pending[t].push(q);
+            fe.pending_samples[t] += q.size as u64;
+            fe.tally
+                .trace(|| TraceEvent::enqueue(arrival_us, q.id, q.size as u64));
+            if fe.pending_samples[t] >= budget {
+                fe.flush(t, arrival_us);
             }
         }
         // Final flushes, earliest deadline first.
-        while let Some((deadline, t)) = earliest_deadline(&pending) {
-            if self.cfg.pace_ingress {
+        while let Some((deadline, t)) = fe.earliest_deadline() {
+            if pace {
                 sleep_until(start, deadline);
             }
-            advance_epochs!(deadline);
-            flush(
-                &mut pending[t],
-                &mut pending_samples[t],
-                t,
-                deadline,
-                &mut tally,
-                &mut free_at,
-                &mut cur_epoch,
-                &mut dispatched,
-                &mut dyn_epochs,
-                &mut dyn_event_at,
-                &mut last_adaptive_us,
-            );
+            fe.flush(t, deadline);
         }
         // Process any trailing events so every epoch gets its boundary
         // snapshot even when the schedule outlives the trace.
-        advance_epochs!(f64::INFINITY);
+        fe.advance_epochs(f64::INFINITY);
         // Publish the planner's overlay epochs so `replay_spec` and
         // `assemble` see the merged schedule this serve actually ran.
         *self.adaptive.lock() = AdaptiveState {
-            epochs: dyn_epochs,
-            at_us: dyn_event_at,
+            epochs: fe.dyn_epochs,
+            at_us: fe.dyn_event_at,
         };
-        tally
-    }
-
-    /// Algorithm 2 in the current epoch: per path, expected execution
-    /// from the capacity-aware slowest-shard profile, plus the queueing
-    /// wait of its most-backlogged scatter target. When the brownout
-    /// controller's backlog gauge crosses a narrowing rung, degraded
-    /// candidates are masked to `+inf` *before* selection (see
-    /// [`ChaosConfig::brownout_mask`]); the flushing tenant's SLA-class
-    /// pressure ladder ([`class_pressure_mask`]) then narrows the same
-    /// cost vector on its own thresholds, so a loose class degrades to
-    /// cheaper paths while a strict class keeps the full candidate set.
-    /// Returns `(mapping idx, exec_us, start_us, browned_out)` with
-    /// `start_us >= now_us`; fills `completions` with every candidate's
-    /// (post-mask) scored completion so the flight recorder can publish
-    /// the rejected costs alongside the chosen one.
-    #[allow(clippy::too_many_arguments)]
-    fn route_in_epoch(
-        &self,
-        ep: &ClusterEpoch,
-        samples: u64,
-        sla_remaining_us: f64,
-        now_us: f64,
-        free_at: &[f64],
-        degrade_rank: &[u32],
-        backlog_us: f64,
-        class: &SlaClass,
-        completions: &mut Vec<f64>,
-    ) -> (usize, f64, f64, bool) {
-        let n = ep.mappings.mappings.len();
-        let mut execs = Vec::with_capacity(n);
-        let mut starts = Vec::with_capacity(n);
-        completions.clear();
-        for i in 0..n {
-            let exec = ep.mappings.mappings[i].profile.latency_us(samples);
-            let busiest = ep.assignments[i]
-                .iter()
-                .map(|&(id, _)| free_at[self.slot_of(id)])
-                .fold(f64::NEG_INFINITY, f64::max);
-            let start = busiest.max(now_us);
-            execs.push(exec);
-            starts.push(start);
-            completions.push((start - now_us) + exec);
-        }
-        let masked = self
-            .cfg
-            .chaos
-            .brownout_mask(degrade_rank, backlog_us, completions);
-        class_pressure_mask(
-            degrade_rank,
-            backlog_us,
-            class.narrow_backlog_us,
-            class.table_only_backlog_us,
-            completions,
-        );
-        let idx = select_mapping(&ep.mappings, completions, sla_remaining_us, true)
-            .expect("mapping set is never empty");
-        (idx, execs[idx], starts[idx], masked)
+        fe.tally
     }
 
     /// Closes the newest snapshotted epoch's metric window at
@@ -2214,8 +1544,7 @@ impl Cluster {
         if let Some(rec) = &trace {
             tally.registry.set(MetricId::DroppedTraceEvents, 0, rec.total_dropped());
         }
-        let per_node_cache: Vec<CacheStats> =
-            self.nodes.iter().map(|n| n.model.cache().stats()).collect();
+        let per_node_cache = self.cache_snapshot();
         // Final epoch closes at end-of-serve: its delta runs from the
         // last boundary snapshot to the final counters, and its metric
         // window closes at the last virtual completion. The epoch index
@@ -2309,6 +1638,730 @@ impl Cluster {
             nodes: self.cfg.nodes,
             trace,
         }
+    }
+}
+
+/// One batch's trip through the flush stages: routing fills the fields
+/// up to `start_us`; leg resolution and the failure-retry scan settle
+/// the rest.
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    /// Dispatch-order batch id, routed epoch, routed mapping index.
+    batch: u64,
+    epoch: usize,
+    idx: usize,
+    samples: u64,
+    /// Scored execution cost of the routed path and the virtual start
+    /// of its first attempt (`>=` the flush instant), in µs.
+    exec_us: f64,
+    start_us: f64,
+    /// Virtual completion and the execution cost of the final attempt,
+    /// after leg resolution and any failure retry.
+    done_us: f64,
+    final_exec_us: f64,
+    /// Epoch whose pruned assignment really executes the batch; later
+    /// than `epoch` exactly when a node failure restarted it.
+    exec_epoch: usize,
+}
+
+/// The front-end's state for one serve: everything the dispatch loop
+/// reads and mutates between flushes. All of it is virtual-time state
+/// except the node queues, the progress ledger, and `start` (wall-clock
+/// pacing and measured-latency anchors).
+struct FrontEnd<'a> {
+    cluster: &'a Cluster,
+    node_queues: &'a [Arc<BoundedQueue<ScatterJob>>],
+    progress: &'a Progress,
+    start: Instant,
+    tally: DispatchTally,
+    /// Per-replica virtual ledger: when each node's queue drains.
+    free_at: Vec<f64>,
+    /// Current merged epoch index (static schedule, then overlays).
+    cur_epoch: usize,
+    /// Batches scattered so far (the quiescence barrier's target).
+    dispatched: u64,
+    /// Overlay epochs the adaptive planner opened this serve, indexed
+    /// after the static schedule, and their trigger instants.
+    dyn_epochs: Vec<ClusterEpoch>,
+    dyn_event_at: Vec<f64>,
+    last_adaptive_us: f64,
+    /// Per tenant: its SLA class and its pending micro-batch. Each
+    /// tenant batches on its own deadline axis.
+    classes: Vec<SlaClass>,
+    pending: Vec<Vec<&'a Query>>,
+    pending_samples: Vec<u64>,
+    /// Per mapping index: the path's SLA-class degrade rank.
+    degrade_ranks: Vec<u32>,
+    /// Per-candidate routing scratch, reused across flushes so routing
+    /// never allocates: scored completions (published in the
+    /// `RouteDecision` event), execution costs, and start times.
+    completions: Vec<f64>,
+    execs: Vec<f64>,
+    starts: Vec<f64>,
+}
+
+impl<'a> FrontEnd<'a> {
+    fn new(
+        cluster: &'a Cluster,
+        trace: &[Query],
+        node_queues: &'a [Arc<BoundedQueue<ScatterJob>>],
+        progress: &'a Progress,
+        start: Instant,
+    ) -> Self {
+        let cfg = &cluster.cfg;
+        let slots = cluster.nodes.len();
+        let tenant_count = trace
+            .iter()
+            .map(|q| scenario::tenant_of(q.id) as usize + 1)
+            .max()
+            .unwrap_or(1)
+            .max(cfg.tenants.tenant_count());
+        let tally = DispatchTally {
+            usage: PathUsage::default(),
+            correct_samples: 0.0,
+            virtual_violations: 0,
+            routed: 0,
+            decisions: Vec::new(),
+            per_tenant: (0..tenant_count).map(|_| TenantTally::default()).collect(),
+            virtual_histogram: LatencyHistogram::with_subs_per_octave(cfg.histogram_subs),
+            retried_batches: 0,
+            retried_queries: 0,
+            shed_queries: 0,
+            leg_timeouts: 0,
+            hedged_legs: 0,
+            leg_retries: 0,
+            epoch_batches: vec![0; cluster.epochs.len()],
+            migration_steps: 0,
+            adaptive_replans: 0,
+            epoch_snapshots: Vec::new(),
+            aborted: false,
+            ring: cfg.recorder.ring(),
+            registry: MetricsRegistry::new(slots),
+            epoch_metrics: Vec::new(),
+            busy_us: vec![0.0; slots],
+            slack: LatencyHistogram::with_subs_per_octave(cfg.histogram_subs),
+            last_done_us: 0.0,
+        };
+        FrontEnd {
+            cluster,
+            node_queues,
+            progress,
+            start,
+            tally,
+            free_at: vec![0.0; slots],
+            cur_epoch: 0,
+            dispatched: 0,
+            dyn_epochs: Vec::new(),
+            dyn_event_at: Vec::new(),
+            last_adaptive_us: f64::NEG_INFINITY,
+            classes: (0..tenant_count)
+                .map(|t| cfg.tenants.class_of(t as u32, cfg.sla_us))
+                .collect(),
+            pending: vec![Vec::new(); tenant_count],
+            pending_samples: vec![0; tenant_count],
+            degrade_ranks: cluster.paths.iter().map(|&p| degrade_rank(p)).collect(),
+            completions: Vec::new(),
+            execs: Vec::new(),
+            starts: Vec::new(),
+        }
+    }
+
+    /// Earliest batch deadline among tenants with pending queries
+    /// (ties keep the lowest tenant index — the scan is ascending).
+    fn earliest_deadline(&self) -> Option<(f64, usize)> {
+        let mut due: Option<(f64, usize)> = None;
+        for (t, p) in self.pending.iter().enumerate() {
+            if let Some(first) = p.first() {
+                let d = first.arrival_us as f64 + self.cluster.cfg.max_batch_wait_us;
+                if due.is_none_or(|(bd, _)| d < bd) {
+                    due = Some((d, t));
+                }
+            }
+        }
+        due
+    }
+
+    /// Walks the rebalance schedule up to virtual time `t`, one
+    /// quiescence barrier per step.
+    fn advance_epochs(&mut self, t: f64) {
+        let cluster = self.cluster;
+        while self.cur_epoch < cluster.events.len()
+            && cluster.events[self.cur_epoch].at_us <= t
+            && !self.tally.aborted
+        {
+            // Wall-clock quiescence (zero virtual cost): every
+            // dispatched batch is merged before the snapshot,
+            // shipping, and teardown, so per-epoch cache deltas
+            // are exact and a failed node's queue is provably
+            // drained. A streaming step differs from the legacy
+            // barrier in *virtual* time only: it flips one
+            // chunk of ownership instead of the whole plan, so
+            // routing never pays a stop-the-world profile shock.
+            if !self.progress.wait_for_batches(self.dispatched) {
+                self.tally.aborted = true;
+                break;
+            }
+            self.tally.epoch_snapshots.push(cluster.cache_snapshot());
+            let at_us = cluster.events[self.cur_epoch].at_us;
+            let new_epoch = (self.cur_epoch + 1) as u64;
+            match &cluster.events[self.cur_epoch].action {
+                RebalanceAction::Fail(node) => {
+                    self.tally
+                        .trace(|| TraceEvent::epoch_barrier(at_us, *node, new_epoch, false));
+                    self.node_queues[cluster.slot_of(*node)].close();
+                }
+                RebalanceAction::Join(node) => {
+                    self.tally
+                        .trace(|| TraceEvent::epoch_barrier(at_us, *node, new_epoch, true));
+                    // Warm-start: every feature the new plan assigns
+                    // the joiner moved off some old owner, so ship it
+                    // their warm cache entries instead of rewarming
+                    // from traffic — first lookups then hit its disk
+                    // tier (charged `disk_hit_us` via the epoch
+                    // profiles) and promote into RAM. Safe here: the
+                    // quiescence means no worker is touching any cache.
+                    let entries = cluster.ship_features(
+                        *node,
+                        &cluster.epochs[self.cur_epoch].plan,
+                        cluster.epochs[self.cur_epoch + 1].plan.features_of(*node),
+                    );
+                    self.tally
+                        .trace(|| TraceEvent::warm_start(at_us, *node, entries, new_epoch));
+                }
+                RebalanceAction::WindowOpen { node, moves } => {
+                    self.tally
+                        .trace(|| TraceEvent::migration_start(at_us, *node, *moves, new_epoch));
+                }
+                RebalanceAction::ChunkFlip { node, feats } => {
+                    // Dual-write realization: everything the old
+                    // owners hold for this chunk — including
+                    // entries admitted *during* the window, which
+                    // went to the old owners because reads did —
+                    // ships right before the flip.
+                    let entries =
+                        cluster.ship_features(*node, &cluster.epochs[self.cur_epoch].plan, feats);
+                    self.tally.migration_steps += 1;
+                    self.tally.trace(|| {
+                        TraceEvent::migration_done(
+                            at_us,
+                            *node,
+                            entries,
+                            new_epoch,
+                            feats.len() as u64,
+                        )
+                    });
+                }
+                // The lift only swaps penalized routing profiles
+                // for clean ones; no cache or queue side effects.
+                RebalanceAction::PenaltyLift => {}
+            }
+            // Close the departing epoch's metric window at the
+            // event timestamp (quiescent, so the just-pushed
+            // cache snapshot is exact).
+            cluster.close_epoch_metrics(&mut self.tally, &self.free_at, at_us, &self.dyn_epochs);
+            self.cur_epoch += 1;
+        }
+    }
+
+    /// Flushes `tenant`'s pending micro-batch at virtual time
+    /// `flush_at_us`, first walking the rebalance schedule up to that
+    /// instant. Callers only flush tenants with pending queries.
+    fn flush(&mut self, tenant: usize, flush_at_us: f64) {
+        self.advance_epochs(flush_at_us);
+        let mut pending = std::mem::take(&mut self.pending[tenant]);
+        let samples = std::mem::take(&mut self.pending_samples[tenant]);
+        self.flush_batch(tenant, flush_at_us, &mut pending, samples);
+        // Hand the (emptied) buffer back so its capacity is reused.
+        pending.clear();
+        self.pending[tenant] = pending;
+    }
+
+    /// One flush, stage by stage: adaptive re-plan, class/brownout
+    /// shed, route, leg resolution, failure retry, then per-query
+    /// accounting and the real scatter.
+    fn flush_batch(
+        &mut self,
+        tenant: usize,
+        flush_at_us: f64,
+        pending: &mut Vec<&Query>,
+        mut samples: u64,
+    ) {
+        if self.tally.aborted || self.progress.failed() || !self.replan(flush_at_us) {
+            self.tally.aborted = true;
+            return;
+        }
+        let cluster = self.cluster;
+        // Brownout gauge: the worst live-node virtual backlog at the
+        // flush instant — the same value both twins derive from
+        // their own `free_at` ledgers.
+        let backlog_us = cluster
+            .epoch_at(&self.dyn_epochs, self.cur_epoch)
+            .live
+            .iter()
+            .map(|&id| (self.free_at[cluster.slot_of(id)] - flush_at_us).max(0.0))
+            .fold(0.0f64, f64::max);
+        self.shed(tenant, flush_at_us, backlog_us, pending, &mut samples);
+        if pending.is_empty() {
+            return;
+        }
+        let oldest_us = pending[0].arrival_us as f64;
+        let sla_remaining = (self.classes[tenant].sla_us - (flush_at_us - oldest_us)).max(1.0);
+        let mut flight = self.route(tenant, samples, sla_remaining, flush_at_us, backlog_us);
+        if let Some(ring) = self.tally.ring.as_mut() {
+            ring.record(TraceEvent::batch_formed(
+                flush_at_us,
+                flight.batch,
+                pending.len() as u64,
+                samples,
+                oldest_us,
+            ));
+            ring.record(TraceEvent::route_decision(
+                flush_at_us,
+                flight.batch,
+                samples,
+                flight.epoch as u64,
+                sla_remaining,
+                flight.idx as i32,
+                &self.completions,
+            ));
+            let ep = cluster.epoch_at(&self.dyn_epochs, flight.epoch);
+            for &(id, _) in &ep.assignments[flight.idx] {
+                ring.record(TraceEvent::scatter(
+                    flush_at_us,
+                    flight.batch,
+                    id,
+                    flight.epoch as u64,
+                ));
+            }
+        }
+        self.resolve_legs(&mut flight, flush_at_us);
+        self.retry_failures(&mut flight);
+        self.account_and_scatter(tenant, &flight, pending);
+    }
+
+    /// Adaptive re-planning: once the static schedule is exhausted,
+    /// watch the live nodes' virtual backlog at every flush. A
+    /// sustained imbalance (hot-key drift parks the hot features' owner
+    /// at the back of every queue) triggers a partial migration: ship
+    /// the busiest node's lowest-id owned features to the idlest live
+    /// node and open an overlay epoch at the flush instant. The trigger
+    /// reads only virtual state (`free_at`, flush time), so it is
+    /// deterministic, and the triggering flush itself routes under the
+    /// new epoch — exactly when the replay twin switches, since the
+    /// spec event carries this timestamp.
+    ///
+    /// Returns `false` if the run failed while quiescing.
+    fn replan(&mut self, flush_at_us: f64) -> bool {
+        let cluster = self.cluster;
+        let rb = &cluster.cfg.rebalance;
+        if !rb.adaptive
+            || self.cur_epoch < cluster.events.len()
+            || flush_at_us - self.last_adaptive_us < rb.adaptive_cooldown_us
+        {
+            return true;
+        }
+        let cur = cluster.epoch_at(&self.dyn_epochs, self.cur_epoch);
+        let free_at = &self.free_at;
+        let backlog = |id: u32| (free_at[cluster.slot_of(id)] - flush_at_us).max(0.0);
+        let mut busiest = cur.live[0];
+        let mut idlest = cur.live[0];
+        for &id in cur.live.iter().skip(1) {
+            if backlog(id) > backlog(busiest) {
+                busiest = id;
+            }
+            if backlog(id) < backlog(idlest) {
+                idlest = id;
+            }
+        }
+        let imbalance = backlog(busiest) - backlog(idlest);
+        let moved: Vec<usize> = cur
+            .plan
+            .features_of(busiest)
+            .iter()
+            .copied()
+            .take(rb.adaptive_max_moves.max(1))
+            .collect();
+        let fire = busiest != idlest && imbalance >= rb.adaptive_threshold_us && !moved.is_empty();
+        if !fire {
+            return true;
+        }
+        let old_plan = cur.plan.clone();
+        // Quiesce (wall-clock only — zero virtual cost) so the
+        // boundary snapshot and the shipped segments are exact.
+        if !self.progress.wait_for_batches(self.dispatched) {
+            return false;
+        }
+        self.tally.epoch_snapshots.push(cluster.cache_snapshot());
+        let entries = cluster.ship_features(idlest, &old_plan, &moved);
+        let mut plan = old_plan;
+        plan.reassign(&moved, idlest);
+        let epoch = build_epoch(
+            &cluster.cfg,
+            &cluster.nodes,
+            flush_at_us,
+            &cluster.ring,
+            &plan,
+            None,
+        )
+        .expect("overlay epoch shares the boot epoch's validated shape");
+        let new_epoch = (self.cur_epoch + 1) as u64;
+        let moves = moved.len() as u64;
+        self.tally
+            .trace(|| TraceEvent::migration_start(flush_at_us, idlest, moves, new_epoch));
+        self.tally
+            .trace(|| TraceEvent::migration_done(flush_at_us, idlest, entries, new_epoch, moves));
+        cluster.close_epoch_metrics(
+            &mut self.tally,
+            &self.free_at,
+            flush_at_us,
+            &self.dyn_epochs,
+        );
+        self.dyn_epochs.push(epoch);
+        self.dyn_event_at.push(flush_at_us);
+        self.tally.epoch_batches.push(0);
+        self.tally.migration_steps += 1;
+        self.tally.adaptive_replans += 1;
+        self.last_adaptive_us = flush_at_us;
+        self.cur_epoch += 1;
+        true
+    }
+
+    /// Pre-routing sheds, each query with an explicit `Shed` outcome —
+    /// never a silent drop. Class shed: past the tenant's last rung the
+    /// loose tenant's whole batch is shed instead of queueing, while
+    /// strict tenants keep routing through the same overload. Brownout
+    /// shed (the chaos ladder's last rung): low-priority queries go by
+    /// the sequence-modulus policy. Leaves the survivors in `pending`
+    /// and their sample total in `samples`.
+    fn shed(
+        &mut self,
+        tenant: usize,
+        flush_at_us: f64,
+        backlog_us: f64,
+        pending: &mut Vec<&Query>,
+        samples: &mut u64,
+    ) {
+        let chaos = self.cluster.cfg.chaos;
+        let class_shed = self.classes[tenant].sheds(backlog_us);
+        let brownout_shed = chaos.brownout && backlog_us >= chaos.brownout_shed_us;
+        if !class_shed && !brownout_shed {
+            return;
+        }
+        pending.retain(|q| {
+            let shed = class_shed || chaos.sheds(backlog_us, scenario::sequence_of(q.id));
+            if shed {
+                *samples -= q.size as u64;
+                self.tally.shed_queries += 1;
+                self.tally.per_tenant[tenant].shed += 1;
+                self.tally.registry.add(MetricId::ShedQueries, 0, 1);
+                self.tally
+                    .trace(|| TraceEvent::shed(flush_at_us, q.id, q.size as u64, backlog_us));
+            }
+            !shed
+        });
+    }
+
+    /// Algorithm 2 in the current epoch: per path, expected execution
+    /// from the capacity-aware slowest-shard profile, plus the queueing
+    /// wait of its most-backlogged scatter target. When the brownout
+    /// controller's backlog gauge crosses a narrowing rung, degraded
+    /// candidates are masked to `+inf` *before* selection (see
+    /// [`ChaosConfig::brownout_mask`]); the flushing tenant's SLA-class
+    /// pressure ladder ([`class_pressure_mask`]) then narrows the same
+    /// cost vector on its own thresholds, so a loose class degrades to
+    /// cheaper paths while a strict class keeps the full candidate set.
+    /// Leaves every candidate's (post-mask) scored completion in
+    /// `self.completions` so the flight recorder can publish the
+    /// rejected costs alongside the chosen one.
+    fn route(
+        &mut self,
+        tenant: usize,
+        samples: u64,
+        sla_remaining_us: f64,
+        now_us: f64,
+        backlog_us: f64,
+    ) -> Flight {
+        let cluster = self.cluster;
+        let epoch = self.cur_epoch;
+        let ep = cluster.epoch_at(&self.dyn_epochs, epoch);
+        self.execs.clear();
+        self.starts.clear();
+        self.completions.clear();
+        for (mapping, assignment) in ep.mappings.mappings.iter().zip(&ep.assignments) {
+            let exec = mapping.profile.latency_us(samples);
+            let busiest = assignment
+                .iter()
+                .map(|&(id, _)| self.free_at[cluster.slot_of(id)])
+                .fold(f64::NEG_INFINITY, f64::max);
+            let start = busiest.max(now_us);
+            self.execs.push(exec);
+            self.starts.push(start);
+            self.completions.push((start - now_us) + exec);
+        }
+        let browned_out =
+            cluster
+                .cfg
+                .chaos
+                .brownout_mask(&self.degrade_ranks, backlog_us, &mut self.completions);
+        if browned_out {
+            self.tally.registry.add(MetricId::BrownoutBatches, 0, 1);
+        }
+        let class = &self.classes[tenant];
+        class_pressure_mask(
+            &self.degrade_ranks,
+            backlog_us,
+            class.narrow_backlog_us,
+            class.table_only_backlog_us,
+            &mut self.completions,
+        );
+        let idx = select_mapping(&ep.mappings, &self.completions, sla_remaining_us, true)
+            .expect("mapping set is never empty");
+        Flight {
+            batch: self.tally.decisions.len() as u64,
+            epoch,
+            idx,
+            samples,
+            exec_us: self.execs[idx],
+            start_us: self.starts[idx],
+            done_us: self.starts[idx] + self.execs[idx],
+            final_exec_us: self.execs[idx],
+            exec_epoch: epoch,
+        }
+    }
+
+    /// Charges the batch's scatter legs to the per-node virtual ledgers
+    /// and settles `flight.done_us`. Without chaos timeouts every leg
+    /// is one clean attempt; with them, every leg runs the timeout /
+    /// hedge / backoff-retry ladder against the fault plan. Every
+    /// attempt — lost, hedged, or timed out — is charged to its node's
+    /// virtual ledger, so failed work back-pressures routing exactly
+    /// like real work and the virtual histogram carries both legs.
+    fn resolve_legs(&mut self, flight: &mut Flight, flush_at_us: f64) {
+        let cluster = self.cluster;
+        let ep = cluster.epoch_at(&self.dyn_epochs, flight.epoch);
+        let tally = &mut self.tally;
+        let free_at = &mut self.free_at;
+        let (batch, exec, start_us) = (flight.batch, flight.exec_us, flight.start_us);
+        let chaos = cluster.cfg.chaos;
+        if !chaos.timeouts_enabled() {
+            for &(id, _) in &ep.assignments[flight.idx] {
+                let slot = cluster.slot_of(id);
+                free_at[slot] = free_at[slot].max(flush_at_us) + exec;
+                tally.registry.add(MetricId::BatchesDispatched, slot, 1);
+                tally.busy_us[slot] += exec;
+            }
+            return;
+        }
+        let faults = &cluster.cfg.faults;
+        let timeout = chaos.timeout_mult * exec;
+        let mut batch_done = f64::NEG_INFINITY;
+        for &(id, _) in &ep.assignments[flight.idx] {
+            let slot = cluster.slot_of(id);
+            tally.registry.add(MetricId::BatchesDispatched, slot, 1);
+            let mut a_start = start_us;
+            let mut attempt = 0u32;
+            let leg_done = loop {
+                let eff = exec * faults.straggler_multiplier(id, a_start);
+                let lost = faults.drops_leg(id, a_start, attempt);
+                free_at[slot] = free_at[slot].max(a_start) + eff;
+                tally.busy_us[slot] += eff;
+                let mut cand = if lost { f64::INFINITY } else { a_start + eff };
+                let deadline = a_start + timeout;
+                // Hedge once, on the first attempt: past the
+                // hedge fraction of the budget, re-issue to the
+                // node's ring successor; first result wins.
+                if attempt == 0 && chaos.hedging && cand > a_start + chaos.hedge_frac * timeout {
+                    let hedge_to = ep
+                        .hedge_next
+                        .iter()
+                        .find(|&&(n, _)| n == id)
+                        .map(|&(_, s)| s);
+                    if let Some(h) = hedge_to {
+                        let hslot = cluster.slot_of(h);
+                        let hedge_at = a_start + chaos.hedge_frac * timeout;
+                        let h_start = free_at[hslot].max(hedge_at);
+                        let h_eff = exec * faults.straggler_multiplier(h, h_start);
+                        // The hedge is attempt 1 on the target:
+                        // a ScatterLoss window (first attempts
+                        // only) cannot eat it, a Stall can.
+                        let h_lost = faults.drops_leg(h, h_start, 1);
+                        free_at[hslot] = free_at[hslot].max(h_start) + h_eff;
+                        tally.busy_us[hslot] += h_eff;
+                        tally.hedged_legs += 1;
+                        tally.registry.add(MetricId::HedgedLegs, hslot, 1);
+                        tally.trace(|| TraceEvent::hedge(hedge_at, batch, id, h));
+                        if !h_lost {
+                            cand = cand.min(h_start + h_eff);
+                        }
+                    }
+                }
+                if cand <= deadline {
+                    break cand;
+                }
+                tally.leg_timeouts += 1;
+                tally.registry.add(MetricId::LegTimeouts, slot, 1);
+                tally.trace(|| TraceEvent::timeout(deadline, batch, id, attempt, timeout));
+                if attempt >= chaos.max_retries {
+                    // Retries exhausted: force completion with
+                    // one more clean execution charged at the
+                    // deadline, so every batch still finishes
+                    // and the total stays invariant.
+                    free_at[slot] = free_at[slot].max(deadline) + exec;
+                    tally.busy_us[slot] += exec;
+                    break deadline + exec;
+                }
+                attempt += 1;
+                tally.leg_retries += 1;
+                tally.registry.add(MetricId::LegRetries, slot, 1);
+                a_start = deadline + chaos.backoff_base_us * (1u64 << (attempt - 1)) as f64;
+            };
+            batch_done = batch_done.max(leg_done);
+        }
+        flight.done_us = batch_done;
+    }
+
+    /// Failure retries: a fail event inside this batch's flight window
+    /// whose victim is one of its targets restarts the batch — at the
+    /// failure instant, under the post-failure plan — and the queries
+    /// carry both legs' latency. Only failures retry: streaming
+    /// sub-steps and adaptive re-plans keep every in-flight batch valid
+    /// (its epoch's owners still hold the features' warm state until
+    /// the flip, and the flip itself is preceded by shipping).
+    fn retry_failures(&mut self, flight: &mut Flight) {
+        let cluster = self.cluster;
+        let tally = &mut self.tally;
+        let free_at = &mut self.free_at;
+        let (batch, idx) = (flight.batch, flight.idx);
+        let mut scan = flight.epoch;
+        while scan < cluster.events.len() {
+            let ev_at = cluster.events[scan].at_us;
+            if ev_at >= flight.done_us {
+                break;
+            }
+            if let RebalanceAction::Fail(failed) = cluster.events[scan].action {
+                if cluster
+                    .epoch_at(&self.dyn_epochs, flight.exec_epoch)
+                    .assignments[idx]
+                    .iter()
+                    .any(|&(id, _)| id == failed)
+                {
+                    flight.exec_epoch = scan + 1;
+                    tally.retried_batches += 1;
+                    let epoch = flight.exec_epoch as u64;
+                    let retry_ep = cluster.epoch_at(&self.dyn_epochs, flight.exec_epoch);
+                    let retry_exec =
+                        retry_ep.mappings.mappings[idx].profile.latency_us(flight.samples);
+                    let retry_start = retry_ep.assignments[idx]
+                        .iter()
+                        .map(|&(id, _)| free_at[cluster.slot_of(id)])
+                        .fold(f64::NEG_INFINITY, f64::max)
+                        .max(ev_at);
+                    flight.done_us = retry_start + retry_exec;
+                    flight.final_exec_us = retry_exec;
+                    if let Some(ring) = tally.ring.as_mut() {
+                        ring.record(TraceEvent::retry(ev_at, batch, failed, epoch));
+                        for &(id, _) in &retry_ep.assignments[idx] {
+                            ring.record(TraceEvent::scatter(ev_at, batch, id, epoch));
+                        }
+                    }
+                    for &(id, _) in &retry_ep.assignments[idx] {
+                        let slot = cluster.slot_of(id);
+                        free_at[slot] = free_at[slot].max(ev_at) + retry_exec;
+                        tally.registry.add(MetricId::BatchesDispatched, slot, 1);
+                        tally.busy_us[slot] += retry_exec;
+                    }
+                }
+            }
+            scan += 1;
+        }
+    }
+
+    /// Per-query accounting at the batch's settled virtual completion,
+    /// then the real scatter to the node queues.
+    fn account_and_scatter(&mut self, tenant: usize, flight: &Flight, pending: &[&Query]) {
+        let cluster = self.cluster;
+        let cfg = &cluster.cfg;
+        let tally = &mut self.tally;
+        let (batch, idx, done_us) = (flight.batch, flight.idx, flight.done_us);
+        let path = cluster.paths[idx];
+        tally.decisions.push(path);
+        tally.epoch_batches[flight.epoch] += 1;
+        if flight.exec_epoch != flight.epoch {
+            tally.retried_queries += pending.len() as u64;
+        }
+        tally.trace(|| {
+            TraceEvent::execute(
+                done_us - flight.final_exec_us,
+                batch,
+                flight.exec_epoch as u64,
+                done_us,
+            )
+        });
+        tally.last_done_us = tally.last_done_us.max(done_us);
+        let class = &self.classes[tenant];
+        let accuracy = cfg.accuracy.of(path) as f64;
+        let label = &cluster.labels[idx];
+        let now = Instant::now();
+        let mut specs = Vec::with_capacity(pending.len());
+        let mut queries = Vec::with_capacity(pending.len());
+        let mut total = 0usize;
+        for q in pending {
+            let virtual_latency = done_us - q.arrival_us as f64;
+            tally.virtual_histogram.record(virtual_latency);
+            tally.slack.record((class.sla_us - virtual_latency).max(0.0));
+            let tt = &mut tally.per_tenant[tenant];
+            if virtual_latency > class.sla_us {
+                tally.virtual_violations += 1;
+                tt.violations += 1;
+                tally.registry.add(MetricId::SlaViolations, 0, 1);
+            }
+            tt.completed += 1;
+            tt.samples += q.size as u64;
+            tt.latency_sum_us += virtual_latency;
+            tt.vhist.record(virtual_latency);
+            tally.correct_samples += q.size as f64 * accuracy;
+            tally.usage.record(label, q.size as u64);
+            tally.routed += 1;
+            tally.trace(|| TraceEvent::complete(done_us, q.id, batch, virtual_latency));
+            specs.push((q.id, q.size as u64));
+            total += q.size;
+            queries.push(WorkQuery {
+                size: q.size as u64,
+                real_arrival: if cfg.pace_ingress {
+                    self.start + Duration::from_micros(q.arrival_us)
+                } else {
+                    now
+                },
+            });
+        }
+        // Real execution happens once, under the final (post-retry)
+        // epoch's pruned assignment — the wasted attempt exists
+        // only in virtual time, so sharded math and cache state
+        // stay deterministic.
+        let assignment = &cluster
+            .epoch_at(&self.dyn_epochs, flight.exec_epoch)
+            .assignments[idx];
+        let shared = Arc::new(BatchShared {
+            path,
+            specs,
+            queries,
+            total,
+            batch,
+            vstart_us: done_us - flight.final_exec_us,
+            vdone_us: done_us,
+            partials: (0..assignment.len()).map(|_| Mutex::new(None)).collect(),
+            pending: AtomicUsize::new(assignment.len()),
+        });
+        for (slot, (node_id, feats)) in assignment.iter().enumerate() {
+            // push only fails when a panicking worker closed its
+            // queue; the join in serve() surfaces that panic.
+            let _ = self.node_queues[cluster.slot_of(*node_id)].push(ScatterJob {
+                shared: Arc::clone(&shared),
+                slot,
+                features: Arc::clone(feats),
+            });
+        }
+        self.dispatched += 1;
     }
 }
 
@@ -2585,29 +2638,16 @@ fn node_worker_loop(
     report
 }
 
-#[allow(clippy::too_many_arguments)]
 fn merger_loop(
     queue: &BoundedQueue<Arc<BatchShared>>,
     model: &RuntimeModel,
     progress: &Progress,
     sla_us: f64,
-    histogram_subs: u32,
-    emb_dim: usize,
-    start: Instant,
-    recorder: TraceConfig,
+    mut report: MergerReport,
 ) -> MergerReport {
     let _close_guard = CloseOnPanic(queue);
     let _fail_guard = FailOnPanic(progress);
-    let mut report = MergerReport {
-        histogram: LatencyHistogram::with_subs_per_octave(histogram_subs),
-        completed: 0,
-        samples: 0,
-        measured_violations: 0,
-        checksum: 0.0,
-        last_done: start,
-        error: None,
-        ring: recorder.ring(),
-    };
+    let emb_dim = model.config().emb_dim;
     let mut pooled = Matrix::default();
     let mut top = MlpScratch::default();
     while let Some(batch) = queue.pop() {
@@ -2928,44 +2968,6 @@ mod tests {
     }
 
     #[test]
-    fn single_node_cluster_matches_the_engine_checksum() {
-        // nodes=1 collapses pruned scatter/gather to the single-node
-        // execute path: same batching, same routing profiles, same
-        // backlog model, same math.
-        let cluster = Cluster::new(ClusterConfig {
-            nodes: 1,
-            net_overhead_us: 0.0,
-            ..quick_cfg(1)
-        })
-        .unwrap();
-        let c = cluster.serve().unwrap();
-        let e = crate::engine::serve(crate::engine::RuntimeConfig {
-            workers: 1,
-            cache_shards: 4,
-            trace: cluster.config().trace,
-            model: cluster.config().model.clone(),
-            max_batch_samples: 32,
-            ..crate::engine::RuntimeConfig::default()
-        })
-        .unwrap();
-        assert_eq!(c.outcome.completed, e.outcome.completed);
-        assert_eq!(c.outcome.samples, e.outcome.samples);
-        assert_eq!(c.path_decisions, e.path_decisions);
-        assert_eq!(c.outcome.usage, e.outcome.usage);
-        assert_eq!(
-            c.virtual_sla_violations, e.virtual_sla_violations,
-            "identical virtual completions"
-        );
-        assert!(
-            (c.checksum - e.checksum).abs() <= 1e-6 * (1.0 + e.checksum.abs()),
-            "cluster {} vs engine {}",
-            c.checksum,
-            e.checksum
-        );
-        assert_eq!(c.cache, e.cache, "same cache state on one node");
-    }
-
-    #[test]
     fn scatter_gather_matches_engine_math_across_node_counts() {
         // The synchronous scatter/gather path: partial pools summed
         // across the pruned target set equal full execution, for every
@@ -3251,7 +3253,7 @@ mod tests {
 
     #[test]
     fn warm_start_ships_disk_tier_records_too() {
-        // Satellite regression: `warm_start_joiner` used to export only
+        // Satellite regression: the join warm-start used to export only
         // the old owners' *dynamic* tiers, silently dropping records
         // that lived in their disk segments (e.g. parked there by an
         // earlier hand-off and never promoted). A disk-resident feature
@@ -3271,7 +3273,7 @@ mod tests {
         }
         let owner_cache = cluster.nodes[cluster.slot_of(owner)].model.cache();
         assert_eq!(owner_cache.load_disk_segment(&seg.to_bytes()).unwrap(), 12);
-        let shipped = cluster.warm_start_joiner(joiner, 2);
+        let shipped = cluster.ship_features(joiner, &cluster.epochs()[1].plan, feats);
         assert!(
             shipped >= 12,
             "disk-tier records must ship on warm start, got {shipped}"
@@ -3336,6 +3338,57 @@ mod tests {
             "re-plans never retry in-flight batches"
         );
         assert_eq!(report.epochs.len(), spec.epochs.len());
+    }
+
+    #[test]
+    fn panicking_node_worker_closes_its_queues_and_fails_the_barrier() {
+        // A scatter job naming a feature the model does not have makes
+        // `pool_features_into` index out of range and the worker
+        // unwind. Its guards must then close both queues (no producer
+        // blocks on a dead consumer) and fail the progress ledger (the
+        // front-end's quiescence barrier returns instead of hanging).
+        let cfg = quick_cfg(1);
+        let model = RuntimeModel::build(&cfg.model, cfg.cache_shards, cfg.seed).unwrap();
+        let queue = Arc::new(BoundedQueue::with_capacity(4));
+        let merge = Arc::new(BoundedQueue::with_capacity(4));
+        let progress = Arc::new(Progress::new());
+        let batch = |feature: usize| ScatterJob {
+            shared: Arc::new(BatchShared {
+                path: PathKind::Table,
+                specs: vec![(0, 4)],
+                queries: Vec::new(),
+                total: 4,
+                batch: 0,
+                vstart_us: 0.0,
+                vdone_us: 0.0,
+                partials: vec![Mutex::new(None)],
+                pending: AtomicUsize::new(1),
+            }),
+            slot: 0,
+            features: Arc::new(vec![feature]),
+        };
+        assert!(queue.push(batch(cfg.model.sparse_features + 7)));
+        let worker = {
+            let (queue, merge, progress) =
+                (Arc::clone(&queue), Arc::clone(&merge), Arc::clone(&progress));
+            std::thread::spawn(move || {
+                node_worker_loop(&queue, &merge, &model, &progress, 0, TraceConfig::default())
+            })
+        };
+        // The barrier waits for a batch that will never merge; only the
+        // panic guard can release it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let barrier = Arc::clone(&progress);
+        let waiter = std::thread::spawn(move || tx.send(barrier.wait_for_batches(1)));
+        let released = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("quiescence barrier hung on a panicked worker");
+        assert!(!released, "wait_for_batches must report the failure");
+        waiter.join().unwrap().unwrap();
+        assert!(worker.join().is_err(), "the worker thread panicked");
+        assert!(progress.failed(), "FailOnPanic marked the progress ledger");
+        assert!(!queue.push(batch(0)), "CloseOnPanic closed the node queue");
+        assert!(!merge.push(batch(0).shared), "CloseOnPanic closed the merge queue");
     }
 
     #[test]

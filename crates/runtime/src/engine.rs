@@ -1,7 +1,15 @@
-//! The serving engine: open-loop ingress, SLA-aware micro-batching, a
-//! deterministic virtual-time router (the paper's Algorithm 2, reused
-//! from `mprec-core::scheduler`), and a `std::thread` worker pool that
-//! executes the routed batches for real.
+//! The single-node serving engine: the `nodes = 1` case of the elastic
+//! [`Cluster`].
+//!
+//! One box and many boxes are points on one continuum, so there is one
+//! dispatcher: [`Engine`] maps its [`RuntimeConfig`] field for field onto
+//! a one-node [`ClusterConfig`] (no churn, faults, chaos or rebalancing)
+//! and projects the [`ClusterReport`](crate::ClusterReport) back into a
+//! [`RuntimeReport`]. A one-node plan is colocated — every path's
+//! scatter has the single target node 0 and charges zero network hops —
+//! so open-loop ingress, SLA-aware micro-batching, Algorithm 2 in
+//! deterministic virtual time, and the worker pool behave exactly as
+//! described in the [`cluster`](crate::cluster) module docs.
 //!
 //! ## Determinism contract
 //!
@@ -10,33 +18,28 @@
 //! dispatcher thread against the trace's *virtual* arrival clock, or are
 //! derived per query id. Worker threads only decide *when* wall-clock
 //! work happens, never *what* work happens, so aggregate
-//! [`ServingOutcome`] counts (completed / samples / correct /
-//! SLA violations under [`SlaAccounting::VirtualTime`] / per-path usage)
-//! are identical for any worker count. Measured wall-clock latencies
-//! (the histogram percentiles, span, throughput) are the part reality
-//! decides.
-
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+//! [`ServingOutcome`] counts (completed / samples / correct / virtual
+//! SLA violations / per-path usage) are identical for any worker count.
+//! Measured wall-clock latencies (the histogram percentiles, span,
+//! throughput) are the part reality decides. `tests/engine_golden.rs`
+//! pins the whole deterministic surface against constants recorded from
+//! the engine's former stand-alone dispatcher.
 
 use mprec_core::candidates::{CandidateRep, RepRole};
 use mprec_core::mpcache::CacheStats;
 use mprec_core::planner::{Mapping, MappingSet};
 use mprec_core::profile::LatencyProfile;
-use mprec_core::scheduler::{Scheduler, SchedulerConfig};
-use mprec_data::query::{Query, QueryTraceConfig};
-use mprec_data::scenario::{self, LoadScenario};
-use mprec_data::traffic::{SlaClass, TrafficConfig};
+use mprec_data::query::QueryTraceConfig;
+use mprec_data::scenario::LoadScenario;
+use mprec_data::traffic::TrafficConfig;
 use mprec_embed::{DheConfig, RepresentationConfig};
 use mprec_hwsim::{Platform, WorkloadBuilder};
-use mprec_serving::{PathUsage, ServingOutcome};
-use mprec_trace::{
-    EventRing, MetricId, MetricsRegistry, MetricsSnapshot, TraceConfig, TraceEvent, TraceRecording,
-};
+use mprec_serving::ServingOutcome;
+use mprec_trace::{MetricsSnapshot, TraceConfig, TraceRecording};
 
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::histogram::LatencyHistogram;
 use crate::model::{PathKind, RuntimeModel, RuntimeModelConfig};
-use crate::queue::BoundedQueue;
 use crate::{Result, RuntimeError};
 
 /// Effective model accuracy per path (the runtime's Table-2 book; the
@@ -92,17 +95,6 @@ impl std::fmt::Display for RoutePolicy {
     }
 }
 
-/// Which latency feeds [`ServingOutcome::sla_violations`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlaAccounting {
-    /// Deterministic virtual-time completions from the dispatcher's
-    /// router — identical across worker counts and directly comparable
-    /// to `mprec-serving::simulate`.
-    VirtualTime,
-    /// Measured wall-clock latencies (machine- and load-dependent).
-    Measured,
-}
-
 /// Full engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
@@ -119,9 +111,9 @@ pub struct RuntimeConfig {
     /// Multi-tenant open-loop traffic mix. When enabled it *replaces*
     /// `trace`/`scenario` as the load source: arrivals come from
     /// [`TrafficConfig::generate`], each tenant batches separately,
-    /// routes under its own [`SlaClass`], and is accounted in
-    /// [`RuntimeReport::tenants`]. Empty (the default) keeps the legacy
-    /// single-tenant path bit-for-bit.
+    /// routes under its own [`SlaClass`](mprec_data::traffic::SlaClass),
+    /// and is accounted in [`RuntimeReport::tenants`]. Empty (the
+    /// default) keeps the legacy single-tenant path bit-for-bit.
     pub tenants: TrafficConfig,
     /// Seed for the trace, the model weights, and per-query ID draws.
     pub seed: u64,
@@ -141,8 +133,6 @@ pub struct RuntimeConfig {
     pub pace_ingress: bool,
     /// Path-selection policy.
     pub route: RoutePolicy,
-    /// SLA-violation accounting mode.
-    pub sla_accounting: SlaAccounting,
     /// Virtual compute rate converting model FLOPs into the router's
     /// virtual-time latency profiles (GFLOP/s).
     pub virtual_gflops: f64,
@@ -150,11 +140,11 @@ pub struct RuntimeConfig {
     pub dispatch_overhead_us: f64,
     /// Per-path accuracy book.
     pub accuracy: PathAccuracy,
-    /// Flight-recorder gate: when enabled, the dispatcher and every
-    /// worker record virtual-time lifecycle events into preallocated
-    /// rings, returned via [`RuntimeReport::trace`]. Off by default
-    /// (the `trace` field name was already taken by the query-trace
-    /// shape, so the recorder gate lives here).
+    /// Flight-recorder gate: when enabled, the dispatcher, every worker
+    /// and the merger record virtual-time lifecycle events into
+    /// preallocated rings, returned via [`RuntimeReport::trace`]. Off by
+    /// default (the `trace` field name was already taken by the
+    /// query-trace shape, so the recorder gate lives here).
     pub recorder: TraceConfig,
     /// Model shape.
     pub model: RuntimeModelConfig,
@@ -182,7 +172,6 @@ impl Default for RuntimeConfig {
             queue_depth: 0,
             pace_ingress: false,
             route: RoutePolicy::MpRec,
-            sla_accounting: SlaAccounting::VirtualTime,
             virtual_gflops: 2.0,
             dispatch_overhead_us: 30.0,
             accuracy: PathAccuracy::default(),
@@ -190,41 +179,6 @@ impl Default for RuntimeConfig {
             model: RuntimeModelConfig::default(),
         }
     }
-}
-
-/// One query inside a dispatched micro-batch.
-#[derive(Debug, Clone, Copy)]
-struct WorkQuery {
-    id: u64,
-    size: u64,
-    real_arrival: Instant,
-}
-
-/// A routed micro-batch on the worker queue.
-#[derive(Debug)]
-struct WorkItem {
-    path: PathKind,
-    queries: Vec<WorkQuery>,
-    /// Dispatch-order batch id (flight-recorder correlation key).
-    batch: u64,
-    /// Virtual execution window the dispatcher committed, shipped so
-    /// the worker's `NodeExecute` event is stamped in virtual time.
-    vstart_us: f64,
-    vdone_us: f64,
-}
-
-/// Per-worker tallies, merged after the run.
-#[derive(Debug)]
-struct WorkerReport {
-    histogram: LatencyHistogram,
-    completed: u64,
-    samples: u64,
-    measured_violations: u64,
-    batches: u64,
-    checksum: f64,
-    last_done: Instant,
-    error: Option<String>,
-    ring: Option<EventRing>,
 }
 
 /// Per-tenant virtual-time accounting for one run: deterministic
@@ -293,31 +247,28 @@ pub struct RuntimeReport {
     /// deterministic decision trail the differential sim-vs-runtime
     /// tests compare against the replay simulator.
     pub path_decisions: Vec<PathKind>,
-    /// Batches executed per worker.
-    pub worker_batches: Vec<u64>,
     /// Sum of all top-MLP scores (output checksum).
     pub checksum: f64,
     /// Worker count the run used.
     pub workers: usize,
-    /// Flight-recorder tracks (dispatcher + one per worker) when
-    /// [`RuntimeConfig::recorder`] was enabled, `None` otherwise.
+    /// Flight-recorder tracks (`dispatcher`, `node-0-worker-{w}`,
+    /// `merger`) when [`RuntimeConfig::recorder`] was enabled, `None`
+    /// otherwise.
     pub trace: Option<TraceRecording>,
     /// End-of-run metrics snapshot (slot 0 = the whole engine).
     pub metrics: MetricsSnapshot,
 }
 
-/// The multi-threaded serving engine: build once, serve a trace.
+/// The single-node serving engine: build once, serve a trace.
 #[derive(Debug)]
 pub struct Engine {
     cfg: RuntimeConfig,
-    model: Arc<RuntimeModel>,
-    mappings: MappingSet,
-    paths: Vec<PathKind>,
-    labels: Vec<String>,
+    cluster: Cluster,
 }
 
 impl Engine {
-    /// Builds the model and the virtual-time mapping set.
+    /// Builds the one-node cluster behind the engine: the model and the
+    /// virtual-time mapping set.
     ///
     /// # Errors
     ///
@@ -327,38 +278,38 @@ impl Engine {
         if cfg.workers == 0 {
             return Err(RuntimeError::BadConfig("workers must be >= 1".into()));
         }
-        if cfg.max_batch_samples == 0 {
-            return Err(RuntimeError::BadConfig(
-                "max_batch_samples must be >= 1".into(),
-            ));
-        }
-        let mut cfg = cfg;
-        if cfg.tenants.is_enabled() {
-            cfg.tenants
-                .validate()
-                .map_err(RuntimeError::BadConfig)?;
-            // Each tenant's feature-id skew flows into the model so its
-            // draws use the tenant's own Zipf exponent (explicit
-            // `model.tenant_zipf` wins if the caller set one).
-            if cfg.model.tenant_zipf.is_empty() {
-                cfg.model.tenant_zipf =
-                    cfg.tenants.tenants.iter().map(|t| t.id_zipf).collect();
-            }
-        }
-        let model = RuntimeModel::build(&cfg.model, cfg.cache_shards, cfg.seed)?;
-        let (mappings, paths) = build_mapping_set(&cfg, &model)?;
-        let labels = mappings
-            .mappings
-            .iter()
-            .map(|m| m.label(&mappings.platforms))
-            .collect();
-        Ok(Engine {
-            cfg,
-            model: Arc::new(model),
-            mappings,
-            paths,
-            labels,
-        })
+        let cluster = Cluster::new(ClusterConfig {
+            nodes: 1,
+            workers_per_node: cfg.workers,
+            cache_shards: cfg.cache_shards,
+            trace: cfg.trace,
+            scenario: cfg.scenario,
+            tenants: cfg.tenants.clone(),
+            seed: cfg.seed,
+            sla_us: cfg.sla_us,
+            max_batch_samples: cfg.max_batch_samples,
+            max_batch_wait_us: cfg.max_batch_wait_us,
+            queue_depth: cfg.queue_depth,
+            pace_ingress: cfg.pace_ingress,
+            route: cfg.route,
+            virtual_gflops: cfg.virtual_gflops,
+            dispatch_overhead_us: cfg.dispatch_overhead_us,
+            accuracy: cfg.accuracy,
+            recorder: cfg.recorder,
+            model: cfg.model.clone(),
+            // Everything elastic stays at its inert default: no churn,
+            // faults, chaos or rebalancing. A never-churned one-node
+            // plan is colocated, so `net_overhead_us` is charged zero
+            // times and its value is irrelevant.
+            ..ClusterConfig::default()
+        })?;
+        // The cluster normalizes the model config (per-tenant ID skews
+        // default off the traffic spec); report the normalized shape.
+        let cfg = RuntimeConfig {
+            model: cluster.config().model.clone(),
+            ..cfg
+        };
+        Ok(Engine { cfg, cluster })
     }
 
     /// The engine configuration.
@@ -368,20 +319,20 @@ impl Engine {
 
     /// The serving model.
     pub fn model(&self) -> &RuntimeModel {
-        &self.model
+        self.cluster.boot_model()
     }
 
     /// The virtual-time mapping set the dispatcher routes on — shared
     /// with the replay simulator so sim-vs-runtime differential tests
     /// route over identical latency profiles.
     pub fn mapping_set(&self) -> &MappingSet {
-        &self.mappings
+        self.cluster.mapping_set()
     }
 
     /// Execution path per mapping index (parallel to
     /// [`Engine::mapping_set`]).
     pub fn paths(&self) -> &[PathKind] {
-        &self.paths
+        self.cluster.paths()
     }
 
     /// Serves the configured trace on the worker pool.
@@ -390,409 +341,27 @@ impl Engine {
     ///
     /// Surfaces any worker-side execution error.
     pub fn serve(&self) -> Result<RuntimeReport> {
-        // Restore fresh-cache behaviour so repeated serves on one engine
-        // report comparable (and reproducible) per-run cache stats.
-        self.model.cache().reset_stats();
-        self.model.cache().clear_dynamic();
-        let trace = if self.cfg.tenants.is_enabled() {
-            self.cfg.tenants.generate(self.cfg.seed)
-        } else {
-            scenario::generate(self.cfg.trace, self.cfg.scenario, self.cfg.seed)
-        };
-        let depth = if self.cfg.queue_depth == 0 {
-            self.cfg.workers * 4
-        } else {
-            self.cfg.queue_depth
-        };
-        let queue: Arc<BoundedQueue<WorkItem>> = Arc::new(BoundedQueue::with_capacity(depth));
-        let start = Instant::now();
-
-        let workers: Vec<_> = (0..self.cfg.workers)
-            .map(|w| {
-                let queue = Arc::clone(&queue);
-                let model = Arc::clone(&self.model);
-                let sla_us = self.cfg.sla_us;
-                let recorder = self.cfg.recorder;
-                std::thread::spawn(move || {
-                    worker_loop(&queue, &model, sla_us, start, recorder, w as u32)
-                })
-            })
-            .collect();
-
-        let dispatch = self.dispatch(&trace, &queue, start);
-        queue.close();
-        let mut reports = Vec::with_capacity(workers.len());
-        for w in workers {
-            reports.push(w.join().expect("worker thread panicked"));
-        }
-        for r in &reports {
-            if let Some(msg) = &r.error {
-                return Err(RuntimeError::Worker(msg.clone()));
-            }
-        }
-        Ok(self.merge(dispatch, reports, start))
-    }
-
-    /// Runs the dispatcher loop: virtual-time batching + routing.
-    ///
-    /// Queries batch *per tenant* (a tenant never shares a micro-batch
-    /// with another tenant's SLA class). Tenants whose batch deadline
-    /// passes are flushed in (deadline, tenant) order before the next
-    /// arrival, so the interleaving is a pure function of the trace —
-    /// the replay twin reproduces it decision-for-decision. A legacy
-    /// trace (every id tenant 0) collapses to the historical
-    /// single-pending behaviour bit-for-bit.
-    fn dispatch(
-        &self,
-        trace: &[Query],
-        queue: &BoundedQueue<WorkItem>,
-        start: Instant,
-    ) -> DispatchTally {
-        let mut sched = Scheduler::new(self.mappings.clone(), SchedulerConfig::default());
-        let mut tally = DispatchTally::default();
-        let tenant_count = trace
-            .iter()
-            .map(|q| scenario::tenant_of(q.id) as usize + 1)
-            .max()
-            .unwrap_or(1)
-            .max(self.cfg.tenants.tenant_count());
-        tally.per_tenant = (0..tenant_count).map(|_| TenantTally::new()).collect();
-        let classes: Vec<SlaClass> = (0..tenant_count)
-            .map(|t| self.cfg.tenants.class_of(t as u32, self.cfg.sla_us))
-            .collect();
-        let ranks: Vec<u32> = self.paths.iter().map(|&p| degrade_rank(p)).collect();
-        let mut pending: Vec<Vec<&Query>> = vec![Vec::new(); tenant_count];
-        let mut pending_samples: Vec<u64> = vec![0; tenant_count];
-        // The dispatcher ring lives outside `tally` during the loop so
-        // the main loop can record Enqueue events while the flush
-        // closure holds `tally` mutably; it is moved into the tally at
-        // the end.
-        let mut ring = self.cfg.recorder.ring();
-        // Reused per-flush candidate-completion buffer: keeps the
-        // rejected candidates' scored costs for the RouteDecision event
-        // without allocating per batch.
-        let mut completions: Vec<f64> = Vec::with_capacity(self.mappings.mappings.len());
-
-        let mut flush =
-            |pending: &mut Vec<&Query>,
-             pending_samples: &mut u64,
-             ring: &mut Option<EventRing>,
-             tenant: usize,
-             flush_at_us: f64| {
-                if pending.is_empty() {
-                    return;
-                }
-                let class = &classes[tenant];
-                let oldest_us = pending[0].arrival_us as f64;
-                sched.advance_to(flush_at_us);
-                let backlog_us = sched.max_backlog_us();
-                if class.sheds(backlog_us) {
-                    // Class shed: the loose tenant's whole batch takes
-                    // an explicit Shed outcome instead of queueing.
-                    let tt = &mut tally.per_tenant[tenant];
-                    for q in pending.iter() {
-                        tally.shed += 1;
-                        tt.shed += 1;
-                        if let Some(ring) = ring.as_mut() {
-                            ring.record(TraceEvent::shed(
-                                flush_at_us,
-                                q.id,
-                                q.size as u64,
-                                backlog_us,
-                            ));
-                        }
-                    }
-                    pending.clear();
-                    *pending_samples = 0;
-                    return;
-                }
-                let sla_remaining = (class.sla_us - (flush_at_us - oldest_us)).max(1.0);
-                let decision = sched
-                    .route_classed_into(
-                        *pending_samples,
-                        sla_remaining,
-                        &ranks,
-                        class.narrow_backlog_us,
-                        class.table_only_backlog_us,
-                        &mut completions,
-                    )
-                    .expect("mapping set is never empty");
-                let done_us = sched.commit(&decision);
-                let batch = tally.decisions.len() as u64;
-                let path = self.paths[decision.mapping_idx];
-                tally.decisions.push(path);
-                if let Some(ring) = ring.as_mut() {
-                    ring.record(TraceEvent::batch_formed(
-                        flush_at_us,
-                        batch,
-                        pending.len() as u64,
-                        *pending_samples,
-                        oldest_us,
-                    ));
-                    ring.record(TraceEvent::route_decision(
-                        flush_at_us,
-                        batch,
-                        *pending_samples,
-                        0,
-                        sla_remaining,
-                        decision.mapping_idx as i32,
-                        &completions,
-                    ));
-                    ring.record(TraceEvent::execute(
-                        done_us - decision.exec_us,
-                        batch,
-                        0,
-                        done_us,
-                    ));
-                }
-                let accuracy = self.cfg.accuracy.of(path) as f64;
-                let label = &self.labels[decision.mapping_idx];
-                let now = Instant::now();
-                let mut queries: Vec<WorkQuery> = Vec::with_capacity(pending.len());
-                let tt = &mut tally.per_tenant[tenant];
-                for q in pending.iter() {
-                    let virtual_latency = done_us - q.arrival_us as f64;
-                    if virtual_latency > class.sla_us {
-                        tally.virtual_violations += 1;
-                        tt.violations += 1;
-                    }
-                    tt.completed += 1;
-                    tt.samples += q.size as u64;
-                    tt.latency_sum_us += virtual_latency;
-                    tt.vhist.record(virtual_latency);
-                    tally.slack.record((class.sla_us - virtual_latency).max(0.0));
-                    tally.correct_samples += q.size as f64 * accuracy;
-                    tally.usage.record(label, q.size as u64);
-                    tally.routed += 1;
-                    if let Some(ring) = ring.as_mut() {
-                        ring.record(TraceEvent::complete(done_us, q.id, batch, virtual_latency));
-                    }
-                    queries.push(WorkQuery {
-                        id: q.id,
-                        size: q.size as u64,
-                        real_arrival: if self.cfg.pace_ingress {
-                            start + Duration::from_micros(q.arrival_us)
-                        } else {
-                            now
-                        },
-                    });
-                }
-                // push only fails when a panicking worker closed the
-                // queue; the join in serve() surfaces that panic.
-                let _ = queue.push(WorkItem {
-                    path,
-                    queries,
-                    batch,
-                    vstart_us: done_us - decision.exec_us,
-                    vdone_us: done_us,
-                });
-                pending.clear();
-                *pending_samples = 0;
-            };
-
-        // Earliest batch deadline among tenants with pending queries
-        // (ties keep the lowest tenant index — the scan is ascending).
-        let earliest_deadline = |pending: &[Vec<&Query>]| -> Option<(f64, usize)> {
-            let mut due: Option<(f64, usize)> = None;
-            for (t, p) in pending.iter().enumerate() {
-                if let Some(first) = p.first() {
-                    let d = first.arrival_us as f64 + self.cfg.max_batch_wait_us;
-                    if due.is_none_or(|(bd, _)| d < bd) {
-                        due = Some((d, t));
-                    }
-                }
-            }
-            due
-        };
-
-        for q in trace {
-            let arrival_us = q.arrival_us as f64;
-            // Deadline-triggered flushes strictly before this arrival,
-            // across all tenants, in (deadline, tenant) order.
-            while let Some((deadline, t)) = earliest_deadline(&pending) {
-                if arrival_us <= deadline {
-                    break;
-                }
-                if self.cfg.pace_ingress {
-                    sleep_until(start, deadline);
-                }
-                flush(&mut pending[t], &mut pending_samples[t], &mut ring, t, deadline);
-            }
-            if self.cfg.pace_ingress {
-                sleep_until(start, arrival_us);
-            }
-            let t = scenario::tenant_of(q.id) as usize;
-            // Size-triggered flush: don't blow the batch budget by adding.
-            if !pending[t].is_empty()
-                && pending_samples[t] + q.size as u64 > self.cfg.max_batch_samples as u64
-            {
-                flush(&mut pending[t], &mut pending_samples[t], &mut ring, t, arrival_us);
-            }
-            pending[t].push(q);
-            pending_samples[t] += q.size as u64;
-            if let Some(ring) = ring.as_mut() {
-                ring.record(TraceEvent::enqueue(arrival_us, q.id, q.size as u64));
-            }
-            if pending_samples[t] >= self.cfg.max_batch_samples as u64 {
-                flush(&mut pending[t], &mut pending_samples[t], &mut ring, t, arrival_us);
-            }
-        }
-        // Final flushes, earliest deadline first.
-        while let Some((deadline, t)) = earliest_deadline(&pending) {
-            if self.cfg.pace_ingress {
-                sleep_until(start, deadline);
-            }
-            flush(&mut pending[t], &mut pending_samples[t], &mut ring, t, deadline);
-        }
-        tally.ring = ring;
-        tally
-    }
-
-    fn merge(
-        &self,
-        mut tally: DispatchTally,
-        mut reports: Vec<WorkerReport>,
-        start: Instant,
-    ) -> RuntimeReport {
-        let mut histogram = LatencyHistogram::new();
-        let mut completed = 0u64;
-        let mut samples = 0u64;
-        let mut measured_violations = 0u64;
-        let mut checksum = 0.0f64;
-        let mut worker_batches = Vec::with_capacity(reports.len());
-        let mut last_done = start;
-        let mut trace = self
-            .cfg
-            .recorder
-            .enabled
-            .then(|| TraceRecording::new(self.labels.clone()));
-        if let (Some(rec), Some(ring)) = (trace.as_mut(), tally.ring.take()) {
-            rec.push_ring("dispatcher", ring);
-        }
-        for (w, r) in reports.iter_mut().enumerate() {
-            histogram.merge(&r.histogram);
-            completed += r.completed;
-            samples += r.samples;
-            measured_violations += r.measured_violations;
-            checksum += r.checksum;
-            worker_batches.push(r.batches);
-            if r.last_done > last_done {
-                last_done = r.last_done;
-            }
-            if let (Some(rec), Some(ring)) = (trace.as_mut(), r.ring.take()) {
-                rec.push_ring(format!("worker-{w}"), ring);
-            }
-        }
-        let sla_violations = match self.cfg.sla_accounting {
-            SlaAccounting::VirtualTime => tally.virtual_violations,
-            SlaAccounting::Measured => measured_violations,
-        };
-        let outcome = ServingOutcome {
-            policy: format!("runtime:{}@{}w", self.cfg.route, self.cfg.workers),
-            completed,
-            samples,
-            correct_samples: tally.correct_samples,
-            span_s: last_done.duration_since(start).as_secs_f64(),
-            sla_violations,
-            mean_latency_us: histogram.mean_us(),
-            p95_latency_us: histogram.quantile_us(0.95),
-            p99_latency_us: histogram.quantile_us(0.99),
-            usage: tally.usage,
-        };
-        let cache = self.model.cache().stats();
-        let metrics = {
-            let reg = MetricsRegistry::new(1);
-            reg.add(MetricId::BatchesDispatched, 0, tally.decisions.len() as u64);
-            reg.add(MetricId::StaticTierHits, 0, cache.encoder_hits);
-            reg.add(MetricId::DynamicTierHits, 0, cache.dynamic_hits);
-            reg.add(MetricId::DiskTierHits, 0, cache.disk_hits);
-            reg.add(MetricId::TierMisses, 0, cache.encoder_misses);
-            reg.add(MetricId::SlaViolations, 0, tally.virtual_violations);
-            reg.add(MetricId::ShedQueries, 0, tally.shed);
-            let slack = tally.slack.summary();
-            reg.set(MetricId::SlaSlackP50Us, 0, slack.p50_us as u64);
-            reg.set(MetricId::SlaSlackP95Us, 0, slack.p95_us as u64);
-            reg.set(MetricId::SlaSlackP99Us, 0, slack.p99_us as u64);
-            if let Some(rec) = &trace {
-                reg.add(MetricId::DroppedTraceEvents, 0, rec.total_dropped());
-            }
-            reg.snapshot()
-        };
-        let tenants = tally
-            .per_tenant
-            .drain(..)
-            .enumerate()
-            .map(|(t, tt)| TenantReport {
-                tenant: t as u32,
-                sla_us: self.cfg.tenants.class_of(t as u32, self.cfg.sla_us).sla_us,
-                completed: tt.completed,
-                samples: tt.samples,
-                shed_queries: tt.shed,
-                virtual_sla_violations: tt.violations,
-                latency_sum_us: tt.latency_sum_us,
-                virtual_histogram: tt.vhist,
-            })
-            .collect();
-        RuntimeReport {
-            outcome,
-            cache,
-            histogram,
-            virtual_sla_violations: tally.virtual_violations,
-            measured_sla_violations: measured_violations,
-            routed_queries: tally.routed,
-            shed_queries: tally.shed,
-            tenants,
-            path_decisions: tally.decisions,
-            worker_batches,
-            checksum,
+        let mut r = self.cluster.serve()?;
+        Ok(RuntimeReport {
+            outcome: ServingOutcome {
+                policy: format!("runtime:{}@{}w", self.cfg.route, self.cfg.workers),
+                ..r.outcome
+            },
+            cache: r.cache,
+            histogram: r.histogram,
+            virtual_sla_violations: r.virtual_sla_violations,
+            measured_sla_violations: r.measured_sla_violations,
+            routed_queries: r.routed_queries,
+            shed_queries: r.shed_queries,
+            tenants: r.tenants,
+            path_decisions: r.path_decisions,
+            checksum: r.checksum,
             workers: self.cfg.workers,
-            trace,
-            metrics,
-        }
-    }
-}
-
-/// Dispatcher-side (deterministic) tallies.
-#[derive(Debug, Default)]
-struct DispatchTally {
-    usage: PathUsage,
-    correct_samples: f64,
-    virtual_violations: u64,
-    routed: u64,
-    shed: u64,
-    decisions: Vec<PathKind>,
-    /// Per-tenant tallies, indexed by tenant id (preallocated before
-    /// the dispatch loop so steady-state accounting never allocates).
-    per_tenant: Vec<TenantTally>,
-    /// Virtual SLA slack per query ((sla - latency) clamped at 0),
-    /// digested into the metrics snapshot.
-    slack: LatencyHistogram,
-    /// Dispatcher flight-recorder ring (None when recording is off).
-    ring: Option<EventRing>,
-}
-
-/// One tenant's in-flight dispatcher tallies (shared with the cluster
-/// front-end, which accounts tenants the same way).
-#[derive(Debug)]
-pub(crate) struct TenantTally {
-    pub(crate) completed: u64,
-    pub(crate) samples: u64,
-    pub(crate) shed: u64,
-    pub(crate) violations: u64,
-    pub(crate) latency_sum_us: f64,
-    pub(crate) vhist: LatencyHistogram,
-}
-
-impl TenantTally {
-    pub(crate) fn new() -> Self {
-        TenantTally {
-            completed: 0,
-            samples: 0,
-            shed: 0,
-            violations: 0,
-            latency_sum_us: 0.0,
-            vhist: LatencyHistogram::new(),
-        }
+            trace: r.trace,
+            // A churn-free serve has exactly one epoch; its closing
+            // snapshot is the end-of-run snapshot.
+            metrics: r.epochs.pop().map(|e| e.metrics).unwrap_or_default(),
+        })
     }
 }
 
@@ -818,137 +387,13 @@ pub fn serve(cfg: RuntimeConfig) -> Result<RuntimeReport> {
     Engine::new(cfg)?.serve()
 }
 
-/// Closes the work queue if the worker unwinds, so a panicking worker can
-/// never leave the dispatcher blocked on a bounded `push` with no
-/// consumer — the panic then surfaces at `join()` instead of hanging
-/// `serve()`.
-struct CloseOnPanic<'a>(&'a BoundedQueue<WorkItem>);
-
-impl Drop for CloseOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.close();
-        }
-    }
-}
-
-fn worker_loop(
-    queue: &BoundedQueue<WorkItem>,
-    model: &RuntimeModel,
-    sla_us: f64,
-    start: Instant,
-    recorder: TraceConfig,
-    worker_idx: u32,
-) -> WorkerReport {
-    let _close_guard = CloseOnPanic(queue);
-    let mut report = WorkerReport {
-        histogram: LatencyHistogram::new(),
-        completed: 0,
-        samples: 0,
-        measured_violations: 0,
-        batches: 0,
-        checksum: 0.0,
-        last_done: start,
-        error: None,
-        // The ring preallocates its full capacity here, before the
-        // steady state, so recording below never allocates.
-        ring: recorder.ring(),
-    };
-    // Persistent per-worker buffers: after the first few batches grow
-    // them to their high-water marks, the steady-state loop executes
-    // every batch without touching the allocator.
-    let mut scratch = model.make_scratch();
-    let mut specs: Vec<(u64, u64)> = Vec::new();
-    while let Some(item) = queue.pop() {
-        specs.clear();
-        specs.extend(item.queries.iter().map(|q| (q.id, q.size)));
-        // Cache counters are monotone, so the before/after delta is
-        // this batch's tier outcome (other workers' concurrent lookups
-        // can inflate it, never deflate it — node tracks are telemetry,
-        // not twin-pinned).
-        let tiers_before = if report.ring.is_some() {
-            model.cache().stats()
-        } else {
-            CacheStats::default()
-        };
-        match model.execute_with(item.path, &specs, &mut scratch) {
-            Ok(res) => {
-                if let Some(ring) = report.ring.as_mut() {
-                    let after = model.cache().stats();
-                    let d = |a: u64, b: u64| a.saturating_sub(b).min(u64::from(u32::MAX)) as u32;
-                    ring.record(TraceEvent::node_execute(
-                        item.vstart_us,
-                        item.batch,
-                        worker_idx,
-                        specs.iter().map(|&(_, s)| s).sum(),
-                        item.vdone_us,
-                        [
-                            d(after.encoder_hits, tiers_before.encoder_hits),
-                            d(after.dynamic_hits, tiers_before.dynamic_hits),
-                            d(after.disk_hits, tiers_before.disk_hits),
-                            d(after.encoder_misses, tiers_before.encoder_misses),
-                        ],
-                    ));
-                }
-                let now = Instant::now();
-                for q in &item.queries {
-                    let latency_us =
-                        now.saturating_duration_since(q.real_arrival).as_secs_f64() * 1e6;
-                    report.histogram.record(latency_us);
-                    if latency_us > sla_us {
-                        report.measured_violations += 1;
-                    }
-                    report.completed += 1;
-                    report.samples += q.size;
-                }
-                report.checksum += res.checksum;
-                report.batches += 1;
-                report.last_done = now;
-            }
-            Err(e) => {
-                report.error = Some(format!("batch on path {}: {e}", item.path));
-                // Keep draining (and discarding) so the dispatcher's
-                // bounded push can always make progress — stopping cold
-                // here would deadlock serve() instead of surfacing the
-                // error once the queue closes.
-                while queue.pop().is_some() {}
-                break;
-            }
-        }
-    }
-    report
-}
-
-fn sleep_until(start: Instant, virtual_us: f64) {
-    let target = start + Duration::from_secs_f64(virtual_us / 1e6);
-    let now = Instant::now();
-    if target > now {
-        std::thread::sleep(target - now);
-    }
-}
-
 /// Builds the single-platform mapping set the virtual-time router runs
-/// on: one mapping per path with an analytic (FLOPs / virtual rate)
-/// latency profile, ordered `[hybrid, dhe, table]`.
-fn build_mapping_set(
-    cfg: &RuntimeConfig,
-    model: &RuntimeModel,
-) -> Result<(MappingSet, Vec<PathKind>)> {
-    build_path_mappings(
-        &cfg.model,
-        cfg.route,
-        cfg.accuracy,
-        |_| cfg.dispatch_overhead_us,
-        |path| model.flops_per_sample(path) / (cfg.virtual_gflops.max(1e-6) * 1e3),
-    )
-}
-
-/// Shared mapping-set builder for the single-node engine and the
-/// cluster front-end: one mapping per selected path, with caller-
-/// supplied analytic per-sample virtual latency and per-batch overhead
-/// (the cluster passes its slowest-shard critical-path cost, and an
-/// overhead that charges fewer network hops to paths whose pruned
-/// scatter reaches a single node).
+/// on: one mapping per selected path, ordered `[hybrid, dhe, table]`,
+/// each with an analytic latency profile from caller-supplied per-sample
+/// virtual latency and per-batch overhead (the cluster front-end passes
+/// its slowest-shard critical-path cost, and an overhead that charges
+/// fewer network hops to paths whose pruned scatter reaches a single
+/// node).
 pub(crate) fn build_path_mappings(
     m: &RuntimeModelConfig,
     route: RoutePolicy,
@@ -1076,7 +521,6 @@ mod tests {
         assert!(report.outcome.samples > 0);
         assert!(report.outcome.span_s > 0.0);
         assert!(report.checksum.is_finite());
-        assert_eq!(report.worker_batches.len(), 2);
         assert_eq!(
             report.histogram.count(),
             300,

@@ -61,7 +61,7 @@ pub use cluster::{
 };
 pub use engine::{
     degrade_rank, serve, Engine, PathAccuracy, RoutePolicy, RuntimeConfig, RuntimeReport,
-    SlaAccounting, TenantReport,
+    TenantReport,
 };
 pub use histogram::{LatencyHistogram, LatencySummary, DEFAULT_SUBS_PER_OCTAVE};
 pub use model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};

@@ -174,8 +174,9 @@ pub fn replay(mappings: &MappingSet, trace: &[Query], cfg: &ReplayConfig) -> Rep
 /// replay's dispatcher decisions are recorded into a `dispatcher` track
 /// in exactly the runtime engine's event order and virtual stamps —
 /// `Enqueue` at admission, then per flush `BatchFormed`,
-/// `RouteDecision` (with every candidate's scored completion),
-/// `Execute`, and one `Complete` per query. The differential tests
+/// `RouteDecision` (with every candidate's scored completion), the one
+/// `Scatter` to node 0 a single-node serve implies, `Execute`, and one
+/// `Complete` per query. The differential tests
 /// compare this track's twin-pinned events against the runtime's.
 pub fn replay_traced(
     mappings: &MappingSet,
@@ -259,6 +260,9 @@ pub fn replay_traced(
                 decision.mapping_idx as i32,
                 &completions,
             ));
+            // The engine is a one-node cluster: every batch scatters to
+            // node 0 in epoch 0.
+            r.record(TraceEvent::scatter(flush_at_us, batch, 0, 0));
             r.record(TraceEvent::execute(
                 done_us - decision.exec_us,
                 batch,

@@ -591,7 +591,7 @@ impl TraceConfig {
 /// counter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackRecording {
-    /// Track name (`dispatcher`, `worker-0`, `node-1`, `merger`, ...).
+    /// Track name (`dispatcher`, `node-0-worker-0`, `merger`, ...).
     pub name: String,
     /// Kept events, oldest first (recording order).
     pub events: Vec<TraceEvent>,

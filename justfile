@@ -113,3 +113,20 @@ trace-viz:
 # virtual timestamps, nonzero route decisions). Mirrors the CI step.
 trace-smoke:
     timeout 300 cargo run --release -p mprec-bench --bin trace_viz -- --smoke
+
+# The repo benchmark's correctness gate (benchmark/, BENCHMARK.json):
+# every workload at 1/20 length, deterministic outputs checked
+# in-process. Mirrors the CI step.
+bench-smoke:
+    timeout 300 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
+# Line budget for crates/runtime/src (ROADMAP item 3). Raise it only
+# together with a CHANGES.md line saying what the growth bought.
+runtime_loc_budget := "5843"
+
+# Lines of Rust per crate, then the budget check: fails when
+# crates/runtime/src has outgrown `runtime_loc_budget`. Mirrors the CI
+# step (which reads the budget from this file).
+loc:
+    @for d in crates/*/src; do printf '%7d %s\n' "$(find "$d" -name '*.rs' -exec cat {} + | wc -l)" "$d"; done
+    @n=$(cat crates/runtime/src/*.rs | wc -l); test "$n" -le {{runtime_loc_budget}} || { echo "crates/runtime/src: $n lines, over the {{runtime_loc_budget}}-line budget"; exit 1; }
