@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use mprec_core::mpcache::{DecoderCache, EncoderCache, MpCache};
+use mprec_core::mpcache::{DecoderCache, EncoderCache, ShardedCacheConfig, ShardedMpCache};
 use mprec_core::scheduler::{Scheduler, SchedulerConfig};
 use mprec_data::DatasetSpec;
 use mprec_embed::{DheConfig, DheStack, EmbeddingTable};
@@ -94,7 +94,10 @@ fn bench_mpcache(c: &mut Criterion) {
     let ids: Vec<u64> = (0..4096).collect();
     let codes = stack.encoder().encode_batch(&ids);
     let dec = DecoderCache::build(&stack, &codes, 256, 4).unwrap();
-    let cache = MpCache::new(Some(enc), Some(dec));
+    // The cache that serves, as the paper's static configuration: one
+    // shard, no dynamic tier (a miss is never admitted, so it stays a miss).
+    let cfg = ShardedCacheConfig { shards: 1, dynamic_entries: 0 };
+    let cache = ShardedMpCache::new(Some(enc), Some(dec), cfg);
     c.bench_function("mpcache_hit", |bench| {
         bench.iter(|| cache.embed(&stack, 0, 5).unwrap())
     });

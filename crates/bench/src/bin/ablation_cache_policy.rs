@@ -1,15 +1,20 @@
 //! Ablation: hot-ID cache policy — the paper's static profiled top-K
 //! cache vs online FIFO / LRU / segmented-LRU, at equal byte budgets on
 //! the same power-law trace. All four columns share one round-down
-//! budget rule (`capacity_bytes / entry_bytes`, zero entries below one
-//! entry's cost), so cells compare equal budgets even at the smallest
-//! capacities.
+//! budget rule (`EncoderCache::entries_for_budget`, zero entries below
+//! one entry's cost), so cells compare equal budgets even at the
+//! smallest capacities.
+//!
+//! Every column runs serving code: the static column is a 1-shard
+//! `ShardedMpCache` with no dynamic tier, and the online columns drive
+//! the `DynamicTier` each serving shard holds — `fifo` with the policy
+//! serving uses, `lru` / `slru` with the two it could use instead.
 
 use std::collections::HashMap;
 
 use mprec_bench::SERVING_SCALE;
 use mprec_core::mpcache::{
-    EncoderCache, FifoEncoderCache, LruEncoderCache, MpCache, SegmentedLruEncoderCache,
+    DynamicTier, EncoderCache, EvictionPolicy, ShardedCacheConfig, ShardedMpCache,
 };
 use mprec_data::{DatasetSpec, SyntheticDataset};
 use mprec_embed::{DheConfig, DheStack};
@@ -56,25 +61,33 @@ fn main() {
             Ok(stacks[f].infer(&[id]).expect("infer").row(0).to_vec())
         })
         .expect("build");
-        let mp = MpCache::new(Some(static_cache), None);
-        let mut fifo = FifoEncoderCache::new(16, bytes);
-        let mut lru = LruEncoderCache::new(16, bytes);
-        let mut slru = SegmentedLruEncoderCache::new(16, bytes);
+        let cfg = ShardedCacheConfig { shards: 1, dynamic_entries: 0 };
+        let mp = ShardedMpCache::new(Some(static_cache), None, cfg);
+        let entries = EncoderCache::entries_for_budget(16, bytes);
+        let mut online = [EvictionPolicy::Fifo, EvictionPolicy::Lru, EvictionPolicy::SegmentedLru]
+            .map(|policy| (DynamicTier::new(policy, entries), 0u64));
+        let mut accesses = 0u64;
         for (f, col) in eval.sparse.iter().enumerate() {
             for &id in col {
-                let _ = mp.embed(&stacks[f], f, id).expect("static");
-                let _ = fifo.embed(&stacks[f], f, id).expect("fifo");
-                let _ = lru.embed(&stacks[f], f, id).expect("lru");
-                let _ = slru.embed(&stacks[f], f, id).expect("slru");
+                accesses += 1;
+                let row = mp.embed(&stacks[f], f, id).expect("static");
+                for (tier, hits) in &mut online {
+                    if tier.touch(f, id).is_some() {
+                        *hits += 1;
+                    } else {
+                        tier.admit(f, id, &row);
+                    }
+                }
             }
         }
+        let [fifo, lru, slru] = online.map(|(_, hits)| hits as f64 / accesses as f64 * 100.0);
         println!(
             "{:>10} {:>11.1}% {:>9.1}% {:>9.1}% {:>9.1}%",
             label,
             mp.stats().encoder_hit_rate() * 100.0,
-            fifo.hit_rate() * 100.0,
-            lru.hit_rate() * 100.0,
-            slru.hit_rate() * 100.0
+            fifo,
+            lru,
+            slru
         );
     }
     println!("\n(observed: the online policies' recency bias beats a frequency");

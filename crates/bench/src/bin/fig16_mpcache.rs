@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use mprec_bench::SERVING_SCALE;
-use mprec_core::mpcache::{DecoderCache, EncoderCache, MpCache};
+use mprec_core::mpcache::{DecoderCache, EncoderCache, ShardedCacheConfig, ShardedMpCache};
 use mprec_data::{DatasetSpec, SyntheticDataset};
 use mprec_embed::{DheConfig, DheStack};
 use mprec_hwsim::{op_cost, Op, Platform};
@@ -106,7 +106,9 @@ fn main() {
             Ok(stacks[f].infer(&[id]).expect("infer").row(0).to_vec())
         })
         .expect("cache build");
-        let mp = MpCache::new(Some(cache), None);
+        // One shard, no dynamic tier: the paper's plain static cache.
+        let cfg = ShardedCacheConfig { shards: 1, dynamic_entries: 0 };
+        let mp = ShardedMpCache::new(Some(cache), None, cfg);
         for (f, col) in eval_batch.sparse.iter().enumerate() {
             for &id in col {
                 let _ = mp.embed(&stacks[f], f, id).expect("embed");
@@ -117,7 +119,7 @@ fn main() {
         println!(
             "{:>10} {:>10} {:>9.1}% {:>11.2}x",
             label,
-            mp.encoder.as_ref().map(|c| c.len()).unwrap_or(0),
+            mp.static_len(),
             h * 100.0,
             stack_us / avg_us
         );

@@ -56,10 +56,7 @@ pub mod scheduler;
 
 pub use candidates::{AccuracyBook, CandidateRep, RepRole};
 pub use metrics::CorrectPredictionThroughput;
-pub use mpcache::{
-    CacheStats, DecoderCache, EncoderCache, FifoEncoderCache, LruEncoderCache, MpCache,
-    MpCacheConfig, SegmentedLruEncoderCache, ShardedCacheConfig, ShardedMpCache,
-};
+pub use mpcache::{CacheStats, DecoderCache, EncoderCache, ShardedCacheConfig, ShardedMpCache};
 pub use persist::{Segment, SegmentError};
 pub use planner::{plan, Mapping, MappingSet};
 pub use profile::LatencyProfile;

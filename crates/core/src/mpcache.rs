@@ -4,7 +4,9 @@
 //! * [`EncoderCache`] exploits **access frequency**: recommendation
 //!   workloads follow power-law ID popularity, so pinning the
 //!   pre-computed *final* embeddings of hot `(feature, id)` pairs lets
-//!   hits skip the entire encoder-decoder stack.
+//!   hits skip the entire encoder-decoder stack. It is the static,
+//!   profiled half of the encoder tier; [`DynamicTier`] is the online
+//!   half, and the only online encoder cache in the crate.
 //! * [`DecoderCache`] exploits **value similarity**: intermediate encoder
 //!   outputs are profiled offline into `N` k-means centroids with
 //!   pre-computed decoder outputs; at inference the nearest centroid
@@ -18,8 +20,9 @@
 //! For the multi-threaded serving runtime (`mprec-runtime`) the tiers sit
 //! behind [`ShardedMpCache`]: the encoder tier is partitioned into N
 //! shards keyed by a `(feature, id)` hash, each shard pairing an
-//! immutable (lock-free) static map with an online dynamic tier behind a
+//! immutable (lock-free) static map with a FIFO [`DynamicTier`] behind a
 //! `parking_lot::RwLock` and an atomic hit/miss/eviction stats block.
+//! One shard with no dynamic budget is the paper's plain static cache.
 //!
 //! Each shard also carries a **persistent disk tier**
 //! ([`crate::persist::Segment`]): an append-only record log with an
@@ -39,31 +42,10 @@ use mprec_data::SplitMixBuildHasher;
 use mprec_embed::DheStack;
 use mprec_nn::MlpScratch;
 use mprec_tensor::{ops, Matrix};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::persist::Segment;
 use crate::{CoreError, Result};
-
-/// Configuration of both cache tiers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MpCacheConfig {
-    /// Encoder-tier capacity in bytes (paper sweeps 2 KB .. 2 MB).
-    pub encoder_bytes: u64,
-    /// Decoder-tier centroid count `N` (0 disables the tier).
-    pub decoder_centroids: usize,
-    /// K-means iterations for centroid construction.
-    pub kmeans_iters: usize,
-}
-
-impl Default for MpCacheConfig {
-    fn default() -> Self {
-        MpCacheConfig {
-            encoder_bytes: 2_000_000, // the paper's 2 MB sweet spot
-            decoder_centroids: 256,
-            kmeans_iters: 8,
-        }
-    }
-}
 
 /// Hit/miss counters shared by both tiers.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -74,12 +56,13 @@ pub struct CacheStats {
     pub encoder_misses: u64,
     /// Decoder-tier lookups (encoder misses that used centroids).
     pub decoder_lookups: u64,
-    /// Dynamic-tier hits (online warm entries; [`ShardedMpCache`] only).
+    /// Dynamic-tier hits (online warm entries; 0 when the cache was
+    /// built with `dynamic_entries: 0`).
     pub dynamic_hits: u64,
-    /// Disk-tier hits (persistent segment entries promoted on access;
-    /// [`ShardedMpCache`] only).
+    /// Disk-tier hits (persistent segment entries promoted on access; 0
+    /// until a segment is loaded).
     pub disk_hits: u64,
-    /// Dynamic-tier evictions ([`ShardedMpCache`] only).
+    /// Dynamic-tier evictions.
     pub evictions: u64,
 }
 
@@ -127,7 +110,6 @@ impl CacheStats {
 pub struct EncoderCache {
     entries: HashMap<(usize, u64), Vec<f32>>,
     entry_bytes: u64,
-    capacity_bytes: u64,
 }
 
 impl EncoderCache {
@@ -145,9 +127,8 @@ impl EncoderCache {
         capacity_bytes: u64,
         mut embed: impl FnMut(usize, u64) -> Result<Vec<f32>>,
     ) -> Result<Self> {
-        // Entry cost: id key (8) + feature (8) + vector.
-        let entry_bytes = 16 + emb_dim as u64 * 4;
-        let max_entries = (capacity_bytes / entry_bytes.max(1)) as usize;
+        let entry_bytes = Self::entry_bytes(emb_dim);
+        let max_entries = Self::entries_for_budget(emb_dim, capacity_bytes);
         // Global hottest (feature, id) pairs.
         let mut all: Vec<(u64, usize, u64)> = access_counts
             .iter()
@@ -166,8 +147,21 @@ impl EncoderCache {
         Ok(EncoderCache {
             entries,
             entry_bytes,
-            capacity_bytes,
         })
+    }
+
+    /// Bytes one cached entry is charged: id key (8) + feature (8) +
+    /// vector.
+    fn entry_bytes(emb_dim: usize) -> u64 {
+        16 + emb_dim as u64 * 4
+    }
+
+    /// Whole entries a byte budget buys: it rounds *down*, so a sub-entry
+    /// budget is a disabled tier, never one free entry. The ablation sizes
+    /// its [`DynamicTier`]s with the same rule so every column compares
+    /// equal budgets.
+    pub fn entries_for_budget(emb_dim: usize, capacity_bytes: u64) -> usize {
+        (capacity_bytes / Self::entry_bytes(emb_dim)) as usize
     }
 
     /// Number of cached embeddings.
@@ -185,11 +179,6 @@ impl EncoderCache {
         self.entries.len() as u64 * self.entry_bytes
     }
 
-    /// Configured capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
     /// Looks up a hot embedding.
     pub fn get(&self, feature: usize, id: u64) -> Option<&[f32]> {
         self.entries.get(&(feature, id)).map(Vec::as_slice)
@@ -199,294 +188,6 @@ impl EncoderCache {
     /// (used by [`ShardedMpCache`] to partition entries across shards).
     pub fn into_entries(self) -> HashMap<(usize, u64), Vec<f32>> {
         self.entries
-    }
-}
-
-/// An online LRU alternative to the static frequency cache (ablation:
-/// the paper's design is static top-K by profiled frequency; LRU needs no
-/// profiling pass but pays eviction churn on power-law traffic).
-#[derive(Debug)]
-pub struct LruEncoderCache {
-    entries: HashMap<(usize, u64), (u64, Vec<f32>)>,
-    clock: u64,
-    max_entries: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl LruEncoderCache {
-    /// Creates an LRU cache with the same byte budget semantics as
-    /// [`EncoderCache::build`]: the budget rounds *down* to whole entries,
-    /// so a sub-entry budget yields `max_entries == 0` — a disabled tier
-    /// that computes every access — rather than silently rounding up to
-    /// one entry and comparing a bigger budget than the static cell.
-    pub fn new(emb_dim: usize, capacity_bytes: u64) -> Self {
-        LruEncoderCache {
-            entries: HashMap::new(),
-            clock: 0,
-            max_entries: budget_entries(emb_dim, capacity_bytes),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Maximum entries the byte budget allows.
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
-    /// Current entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Serves one embedding, computing and inserting on miss (evicting the
-    /// least-recently-used entry at capacity).
-    ///
-    /// # Errors
-    ///
-    /// Propagates stack execution errors.
-    pub fn embed(&mut self, stack: &DheStack, feature: usize, id: u64) -> Result<Vec<f32>> {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some((stamp, v)) = self.entries.get_mut(&(feature, id)) {
-            *stamp = clock;
-            self.hits += 1;
-            return Ok(v.clone());
-        }
-        self.misses += 1;
-        let out = stack.infer(&[id])?;
-        let v = out.row(0).to_vec();
-        // A zero budget disables the tier: compute without caching.
-        if self.max_entries == 0 {
-            return Ok(v);
-        }
-        if self.entries.len() >= self.max_entries {
-            if let Some((&oldest, _)) = self.entries.iter().min_by_key(|(_, (s, _))| *s) {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.entries.insert((feature, id), (clock, v.clone()));
-        Ok(v)
-    }
-}
-
-/// Shared byte-budget arithmetic for the online encoder-cache variants:
-/// identical to [`EncoderCache::build`] (round down; 0 bytes ⇒ disabled
-/// tier) so ablation cells across policies compare equal budgets.
-fn budget_entries(emb_dim: usize, capacity_bytes: u64) -> usize {
-    let entry_bytes = 16 + emb_dim as u64 * 4;
-    (capacity_bytes / entry_bytes.max(1)) as usize
-}
-
-/// An online FIFO alternative to the static frequency cache (ablation:
-/// cheapest possible eviction bookkeeping — insertion order only — at the
-/// cost of evicting hot IDs as readily as cold ones).
-#[derive(Debug)]
-pub struct FifoEncoderCache {
-    entries: HashMap<(usize, u64), Vec<f32>>,
-    fifo: VecDeque<(usize, u64)>,
-    max_entries: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl FifoEncoderCache {
-    /// Creates a FIFO cache with the same byte budget semantics as
-    /// [`EncoderCache::build`] (round down; 0 bytes ⇒ disabled tier).
-    pub fn new(emb_dim: usize, capacity_bytes: u64) -> Self {
-        FifoEncoderCache {
-            entries: HashMap::new(),
-            fifo: VecDeque::new(),
-            max_entries: budget_entries(emb_dim, capacity_bytes),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Maximum entries the byte budget allows.
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
-    /// Current entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Serves one embedding, computing and inserting on miss (evicting the
-    /// oldest-inserted entry at capacity).
-    ///
-    /// # Errors
-    ///
-    /// Propagates stack execution errors.
-    pub fn embed(&mut self, stack: &DheStack, feature: usize, id: u64) -> Result<Vec<f32>> {
-        if let Some(v) = self.entries.get(&(feature, id)) {
-            self.hits += 1;
-            return Ok(v.clone());
-        }
-        self.misses += 1;
-        let out = stack.infer(&[id])?;
-        let v = out.row(0).to_vec();
-        if self.max_entries == 0 {
-            return Ok(v);
-        }
-        while self.entries.len() >= self.max_entries {
-            let Some(oldest) = self.fifo.pop_front() else {
-                break;
-            };
-            self.entries.remove(&oldest);
-        }
-        self.entries.insert((feature, id), v.clone());
-        self.fifo.push_back((feature, id));
-        Ok(v)
-    }
-}
-
-/// An online segmented-LRU (SLRU) alternative: new entries enter a
-/// *probation* segment; a probation hit promotes to a *protected* segment
-/// (4/5 of the budget) whose overflow demotes back to probation. Scan
-/// traffic churns only probation, so hot IDs survive one-shot floods —
-/// the classic middle ground between FIFO and full LRU.
-#[derive(Debug)]
-pub struct SegmentedLruEncoderCache {
-    /// `key → (stamp, protected?, embedding)`; segments share one map and
-    /// are distinguished by the flag, keeping lookups to a single probe.
-    entries: HashMap<(usize, u64), (u64, bool, Vec<f32>)>,
-    clock: u64,
-    max_entries: usize,
-    protected_cap: usize,
-    protected_len: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl SegmentedLruEncoderCache {
-    /// Creates an SLRU cache with the same byte budget semantics as
-    /// [`EncoderCache::build`] (round down; 0 bytes ⇒ disabled tier).
-    pub fn new(emb_dim: usize, capacity_bytes: u64) -> Self {
-        let max_entries = budget_entries(emb_dim, capacity_bytes);
-        SegmentedLruEncoderCache {
-            entries: HashMap::new(),
-            clock: 0,
-            max_entries,
-            protected_cap: max_entries * 4 / 5,
-            protected_len: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Maximum entries the byte budget allows.
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
-    /// Current entry count across both segments.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Least-recently-used key within one segment.
-    fn lru_of(&self, protected: bool) -> Option<(usize, u64)> {
-        self.entries
-            .iter()
-            .filter(|(_, (_, p, _))| *p == protected)
-            .min_by_key(|(_, (s, _, _))| *s)
-            .map(|(&k, _)| k)
-    }
-
-    /// Serves one embedding, computing on miss; misses enter probation and
-    /// probation hits promote to the protected segment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stack execution errors.
-    pub fn embed(&mut self, stack: &DheStack, feature: usize, id: u64) -> Result<Vec<f32>> {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some((stamp, protected, v)) = self.entries.get_mut(&(feature, id)) {
-            *stamp = clock;
-            self.hits += 1;
-            let out = v.clone();
-            if !*protected && self.protected_cap > 0 {
-                *protected = true;
-                self.protected_len += 1;
-                if self.protected_len > self.protected_cap {
-                    // Demote the protected LRU back to probation.
-                    if let Some(lru) = self.lru_of(true) {
-                        if let Some((_, p, _)) = self.entries.get_mut(&lru) {
-                            *p = false;
-                            self.protected_len -= 1;
-                        }
-                    }
-                }
-            }
-            return Ok(out);
-        }
-        self.misses += 1;
-        let out = stack.infer(&[id])?;
-        let v = out.row(0).to_vec();
-        if self.max_entries == 0 {
-            return Ok(v);
-        }
-        if self.entries.len() >= self.max_entries {
-            // Evict from probation first; fall back to protected only
-            // when probation is empty.
-            let victim = self.lru_of(false).or_else(|| self.lru_of(true));
-            if let Some(k) = victim {
-                if let Some((_, true, _)) = self.entries.remove(&k) {
-                    self.protected_len -= 1;
-                }
-            }
-        }
-        self.entries.insert((feature, id), (clock, false, v.clone()));
-        Ok(v)
     }
 }
 
@@ -614,64 +315,6 @@ impl DecoderCache {
     }
 }
 
-/// Both tiers plus shared statistics, ready to serve one DHE/hybrid path.
-#[derive(Debug)]
-pub struct MpCache {
-    /// Encoder tier (hot-ID embeddings); `None` when capacity is 0.
-    pub encoder: Option<EncoderCache>,
-    /// Decoder tier (centroids); `None` when `decoder_centroids` is 0.
-    pub decoder: Option<DecoderCache>,
-    stats: Mutex<CacheStats>,
-}
-
-impl MpCache {
-    /// Wraps built tiers.
-    pub fn new(encoder: Option<EncoderCache>, decoder: Option<DecoderCache>) -> Self {
-        MpCache {
-            encoder,
-            decoder,
-            stats: Mutex::new(CacheStats::default()),
-        }
-    }
-
-    /// Serves one embedding through the cache hierarchy:
-    /// encoder-tier hit -> cached final embedding; otherwise encode and
-    /// use the decoder tier if present; otherwise run the full stack.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stack execution errors.
-    pub fn embed(&self, stack: &DheStack, feature: usize, id: u64) -> Result<Vec<f32>> {
-        if let Some(enc) = &self.encoder {
-            if let Some(hit) = enc.get(feature, id) {
-                self.stats.lock().encoder_hits += 1;
-                return Ok(hit.to_vec());
-            }
-            self.stats.lock().encoder_misses += 1;
-        }
-        let mut code = vec![0.0f32; stack.encoder().k()];
-        stack.encoder().encode_into(id, &mut code);
-        if let Some(dec) = &self.decoder {
-            self.stats.lock().decoder_lookups += 1;
-            return Ok(dec.lookup(&code).to_vec());
-        }
-        let m = Matrix::from_vec(1, code.len(), code)
-            .expect("code buffer matches encoder k");
-        let out = stack.decode(&m)?;
-        Ok(out.row(0).to_vec())
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
-    }
-
-    /// Resets the counters.
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = CacheStats::default();
-    }
-}
-
 /// Configuration of the sharded, thread-safe MP-Cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedCacheConfig {
@@ -727,12 +370,165 @@ impl AtomicCacheStats {
     }
 }
 
-/// Dynamic (online warm-up) tier of one shard: insert-on-miss with FIFO
-/// eviction at the per-shard entry budget.
-#[derive(Debug, Default)]
-struct DynamicTier {
-    entries: HashMap<(usize, u64), Vec<f32>, SplitMixBuildHasher>,
-    fifo: VecDeque<(usize, u64)>,
+/// Which entry a full [`DynamicTier`] gives up, fixed at construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvictionPolicy {
+    /// Oldest admission first. What [`ShardedMpCache`] serves with: a hit
+    /// needs no bookkeeping, so it stays a `&self` probe under the shard's
+    /// read lock, and admission is O(1).
+    Fifo,
+    /// Least recently touched first.
+    Lru,
+    /// Segmented LRU: entries are admitted on *probation*; a probation
+    /// hit promotes to a *protected* segment (4/5 of the budget) whose
+    /// overflow demotes its least recent entry back. Victims come from
+    /// probation first, so one-shot scan floods cannot flush reused IDs.
+    SegmentedLru,
+}
+
+#[derive(Debug)]
+struct Slot {
+    row: Vec<f32>,
+    /// Tier clock at the last touch ([`EvictionPolicy::Fifo`] never reads it).
+    stamp: u64,
+    protected: bool,
+}
+
+/// The online encoder tier: final embeddings admitted on a miss, up to an
+/// entry budget, with the victim picked by an [`EvictionPolicy`]. Each
+/// [`ShardedMpCache`] shard holds one (always `Fifo`); the cache-policy
+/// ablation drives the same type with every policy. `Lru` and
+/// `SegmentedLru` find their victim with an O(n) stamp scan — they are
+/// ablation-only.
+#[derive(Debug)]
+pub struct DynamicTier {
+    entries: HashMap<(usize, u64), Slot, SplitMixBuildHasher>,
+    /// Resident keys in admission order: the FIFO victim queue, and the
+    /// order snapshots and warm-start exports are written in.
+    order: VecDeque<(usize, u64)>,
+    policy: EvictionPolicy,
+    max_entries: usize,
+    clock: u64,
+    protected_len: usize,
+}
+
+impl DynamicTier {
+    /// An empty tier holding at most `max_entries` embeddings; 0 is a
+    /// disabled tier that never stores.
+    pub fn new(policy: EvictionPolicy, max_entries: usize) -> Self {
+        DynamicTier {
+            entries: HashMap::default(),
+            order: VecDeque::new(),
+            policy,
+            max_entries,
+            clock: 0,
+            protected_len: 0,
+        }
+    }
+
+    /// Resident entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Appends the resident entries whose feature satisfies `keep` to
+    /// `seg` in admission order: the one writer behind snapshots and
+    /// warm-start exports.
+    fn append_to(&self, seg: &mut Segment, mut keep: impl FnMut(usize) -> bool) {
+        for key in self.order.iter().filter(|k| keep(k.0)) {
+            if let Some(slot) = self.entries.get(key) {
+                seg.append(key.0, key.1, &slot.row);
+            }
+        }
+    }
+
+    /// Probes without touching policy state — the serving hit path.
+    pub fn get(&self, feature: usize, id: u64) -> Option<&[f32]> {
+        self.entries.get(&(feature, id)).map(|s| s.row.as_slice())
+    }
+
+    /// Probes and records the hit for the eviction policy. `Lru` is
+    /// `SegmentedLru` with an empty protected segment, so one body
+    /// serves both; `Fifo` keeps no hit state and is a plain [`Self::get`].
+    pub fn touch(&mut self, feature: usize, id: u64) -> Option<&[f32]> {
+        if self.policy != EvictionPolicy::Fifo {
+            self.clock += 1;
+            let segmented = self.policy == EvictionPolicy::SegmentedLru;
+            let protected_cap = if segmented { self.max_entries * 4 / 5 } else { 0 };
+            let slot = self.entries.get_mut(&(feature, id))?;
+            slot.stamp = self.clock;
+            if !slot.protected && protected_cap > 0 {
+                slot.protected = true;
+                self.protected_len += 1;
+                if self.protected_len > protected_cap {
+                    if let Some(slot) = self.oldest(true).and_then(|k| self.entries.get_mut(&k)) {
+                        slot.protected = false;
+                        self.protected_len -= 1;
+                    }
+                }
+            }
+        }
+        self.get(feature, id)
+    }
+
+    /// Admits an embedding, first evicting the policy's victim when the
+    /// tier is full, and returns whether it evicted. No-op when the tier
+    /// is disabled or already holds the key. The victim's buffer is
+    /// recycled for the incoming row, so admission into a full tier does
+    /// not allocate: map and queue stay at constant size.
+    pub fn admit(&mut self, feature: usize, id: u64, row: &[f32]) -> bool {
+        let key = (feature, id);
+        if self.max_entries == 0 || self.entries.contains_key(&key) {
+            return false;
+        }
+        let recycled = (self.entries.len() >= self.max_entries).then(|| self.evict()).flatten();
+        let evicted = recycled.is_some();
+        let mut row_buf = recycled.unwrap_or_default();
+        row_buf.clear();
+        row_buf.extend_from_slice(row);
+        self.clock += 1;
+        let slot = Slot { row: row_buf, stamp: self.clock, protected: false };
+        self.entries.insert(key, slot);
+        self.order.push_back(key);
+        evicted
+    }
+
+    /// Empties the tier, keeping its policy and budget.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+        self.protected_len = 0;
+    }
+
+    /// Least recently touched key of one segment.
+    fn oldest(&self, protected: bool) -> Option<(usize, u64)> {
+        self.entries
+            .iter()
+            .filter(|(_, s)| s.protected == protected)
+            .min_by_key(|(_, s)| s.stamp)
+            .map(|(&k, _)| k)
+    }
+
+    /// Removes the policy's victim and returns its buffer.
+    fn evict(&mut self) -> Option<Vec<f32>> {
+        let victim = match self.policy {
+            EvictionPolicy::Fifo => self.order.pop_front()?,
+            // Probation first; protected only once probation is empty.
+            _ => {
+                let k = self.oldest(false).or_else(|| self.oldest(true))?;
+                let at = self.order.iter().position(|o| *o == k)?;
+                self.order.remove(at)?
+            }
+        };
+        let slot = self.entries.remove(&victim)?;
+        self.protected_len -= usize::from(slot.protected);
+        Some(slot.row)
+    }
 }
 
 /// One cache shard: an immutable slice of the static encoder tier (read
@@ -744,6 +540,20 @@ struct CacheShard {
     dynamic: RwLock<DynamicTier>,
     disk: RwLock<Segment>,
     stats: AtomicCacheStats,
+}
+
+/// A cached row is only as good as the stack it was computed for: a
+/// segment written under another `emb_dim` must fail the lookup, not
+/// panic a worker or hand back a short row.
+fn checked(row: &[f32], dim: usize) -> Result<&[f32]> {
+    if row.len() == dim {
+        Ok(row)
+    } else {
+        Err(CoreError::BadConfig(format!(
+            "cached embedding has {} floats, the stack's out_dim is {dim}",
+            row.len()
+        )))
+    }
 }
 
 /// Decoder-tier topology: none, one tier shared by every feature (valid
@@ -863,7 +673,10 @@ impl ShardedMpCache {
                 .into_iter()
                 .map(|static_entries| CacheShard {
                     static_entries,
-                    dynamic: RwLock::new(DynamicTier::default()),
+                    dynamic: RwLock::new(DynamicTier::new(
+                        EvictionPolicy::Fifo,
+                        dynamic_per_shard,
+                    )),
                     disk: RwLock::new(Segment::new()),
                     stats: AtomicCacheStats::default(),
                 })
@@ -888,13 +701,8 @@ impl ShardedMpCache {
     pub fn dynamic_len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.dynamic.read().entries.len())
+            .map(|s| s.dynamic.read().len())
             .sum()
-    }
-
-    /// The decoder tier serving `feature`, if any.
-    pub fn decoder_for(&self, feature: usize) -> Option<&DecoderCache> {
-        self.decoder.for_feature(feature)
     }
 
     fn shard(&self, feature: usize, id: u64) -> &CacheShard {
@@ -928,9 +736,7 @@ impl ShardedMpCache {
     /// cache's behaviour between runs.
     pub fn clear_dynamic(&self) {
         for s in &self.shards {
-            let mut tier = s.dynamic.write();
-            tier.entries.clear();
-            tier.fifo.clear();
+            s.dynamic.write().clear();
         }
     }
 
@@ -969,14 +775,7 @@ impl ShardedMpCache {
     pub fn export_dynamic_segment(&self, mut keep: impl FnMut(usize) -> bool) -> Vec<u8> {
         let mut seg = Segment::new();
         for shard in &self.shards {
-            let tier = shard.dynamic.read();
-            for key in &tier.fifo {
-                if keep(key.0) {
-                    if let Some(v) = tier.entries.get(key) {
-                        seg.append(key.0, key.1, v);
-                    }
-                }
-            }
+            shard.dynamic.read().append_to(&mut seg, &mut keep);
         }
         seg.to_bytes()
     }
@@ -1035,14 +834,7 @@ impl ShardedMpCache {
         std::fs::create_dir_all(dir)?;
         for (i, shard) in self.shards.iter().enumerate() {
             let mut seg = Segment::new();
-            {
-                let tier = shard.dynamic.read();
-                for key in &tier.fifo {
-                    if let Some(v) = tier.entries.get(key) {
-                        seg.append(key.0, key.1, v);
-                    }
-                }
-            }
+            shard.dynamic.read().append_to(&mut seg, |_| true);
             seg.write_to(&dir.join(format!("shard-{i:04}.seg")))?;
         }
         Ok(())
@@ -1051,10 +843,12 @@ impl ShardedMpCache {
     /// Restores the dynamic tier from a [`ShardedMpCache::snapshot_dynamic`]
     /// directory, replacing current dynamic contents. Records are routed
     /// to shards by key hash (so a snapshot survives a shard-count
-    /// change), keep their FIFO order, respect the per-shard budget, and
-    /// leave the stats counters untouched. Returns the number of entries
-    /// restored. Stray `.tmp` files from an interrupted snapshot are
-    /// ignored, so recovery always lands on the last durable snapshot.
+    /// change) and admitted in file order through the tier's own
+    /// [`DynamicTier::admit`], so a snapshot larger than the per-shard
+    /// budget keeps its newest records; the stats counters stay
+    /// untouched. Returns the number of entries resident afterwards.
+    /// Stray `.tmp` files from an interrupted snapshot are ignored, so
+    /// recovery always lands on the last durable snapshot.
     ///
     /// # Errors
     ///
@@ -1067,22 +861,16 @@ impl ShardedMpCache {
             .collect();
         files.sort();
         self.clear_dynamic();
-        let mut restored = 0;
         for path in files {
             let seg = Segment::read_from(&path)?;
             for (feature, id, values) in seg.iter() {
-                let shard = self.shard(feature, id);
-                let mut tier = shard.dynamic.write();
-                if self.dynamic_per_shard == 0 || tier.entries.len() >= self.dynamic_per_shard {
-                    continue;
-                }
-                if tier.entries.insert((feature, id), values).is_none() {
-                    tier.fifo.push_back((feature, id));
-                    restored += 1;
-                }
+                self.shard(feature, id)
+                    .dynamic
+                    .write()
+                    .admit(feature, id, &values);
             }
         }
-        Ok(restored)
+        Ok(self.dynamic_len())
     }
 
     /// Serves one embedding through the sharded hierarchy: static tier
@@ -1094,28 +882,40 @@ impl ShardedMpCache {
     ///
     /// # Errors
     ///
-    /// Propagates stack execution errors.
+    /// Propagates stack execution errors; a tier hit whose length is not
+    /// `stack.out_dim()` (a segment written under another `emb_dim`) is
+    /// [`CoreError::BadConfig`].
     pub fn embed(&self, stack: &DheStack, feature: usize, id: u64) -> Result<Vec<f32>> {
         let shard = self.shard(feature, id);
         let key = (feature, id);
+        let dim = stack.out_dim();
         if let Some(hit) = shard.static_entries.get(&key) {
             shard.stats.encoder_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
+            return Ok(checked(hit, dim)?.to_vec());
         }
         if self.dynamic_per_shard > 0 {
-            if let Some(hit) = shard.dynamic.read().entries.get(&key) {
+            if let Some(hit) = shard.dynamic.read().get(feature, id) {
                 shard.stats.dynamic_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit.clone());
+                return Ok(checked(hit, dim)?.to_vec());
             }
         }
         let mut v = Vec::new();
         if shard.disk.read().get_into(feature, id, &mut v) {
             shard.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
+            checked(&v, dim)?;
             self.admit(shard, key, &v);
             return Ok(v);
         }
         shard.stats.encoder_misses.fetch_add(1, Ordering::Relaxed);
-        let v = self.compute_miss(stack, shard, feature, id)?;
+        let mut code = Matrix::zeros(1, stack.encoder().k());
+        stack.encoder().encode_into(id, code.row_mut(0));
+        let v = match self.decoder.for_feature(feature) {
+            Some(dec) => {
+                shard.stats.decoder_lookups.fetch_add(1, Ordering::Relaxed);
+                dec.lookup(code.row(0)).to_vec()
+            }
+            None => stack.decode(&code)?.row(0).to_vec(),
+        };
         self.admit(shard, key, &v);
         Ok(v)
     }
@@ -1130,7 +930,7 @@ impl ShardedMpCache {
     ///
     /// # Errors
     ///
-    /// Propagates stack execution errors.
+    /// As [`ShardedMpCache::embed`].
     pub fn embed_batch(&self, stack: &DheStack, feature: usize, ids: &[u64]) -> Result<Matrix> {
         let mut out = Matrix::zeros(ids.len(), stack.out_dim());
         let mut scratch = BatchScratch::new();
@@ -1148,7 +948,7 @@ impl ShardedMpCache {
     ///
     /// # Errors
     ///
-    /// Propagates stack execution errors.
+    /// As [`ShardedMpCache::embed`].
     pub fn embed_batch_into(
         &self,
         stack: &DheStack,
@@ -1169,13 +969,13 @@ impl ShardedMpCache {
             let key = (feature, id);
             if let Some(hit) = shard.static_entries.get(&key) {
                 shard.stats.encoder_hits.fetch_add(1, Ordering::Relaxed);
-                out.row_mut(row).copy_from_slice(hit);
+                out.row_mut(row).copy_from_slice(checked(hit, dim)?);
                 continue;
             }
             if self.dynamic_per_shard > 0 {
-                if let Some(hit) = shard.dynamic.read().entries.get(&key) {
+                if let Some(hit) = shard.dynamic.read().get(feature, id) {
                     shard.stats.dynamic_hits.fetch_add(1, Ordering::Relaxed);
-                    out.row_mut(row).copy_from_slice(hit);
+                    out.row_mut(row).copy_from_slice(checked(hit, dim)?);
                     continue;
                 }
             }
@@ -1186,7 +986,7 @@ impl ShardedMpCache {
             // into dynamic hits, exactly like the scalar path.
             if shard.disk.read().get_into(feature, id, &mut scratch.disk_row) {
                 shard.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                out.row_mut(row).copy_from_slice(&scratch.disk_row);
+                out.row_mut(row).copy_from_slice(checked(&scratch.disk_row, dim)?);
                 self.admit(shard, key, &scratch.disk_row);
                 continue;
             }
@@ -1241,52 +1041,13 @@ impl ShardedMpCache {
         Ok(())
     }
 
-    fn compute_miss(
-        &self,
-        stack: &DheStack,
-        shard: &CacheShard,
-        feature: usize,
-        id: u64,
-    ) -> Result<Vec<f32>> {
-        let mut code = vec![0.0f32; stack.encoder().k()];
-        stack.encoder().encode_into(id, &mut code);
-        if let Some(dec) = self.decoder.for_feature(feature) {
-            shard.stats.decoder_lookups.fetch_add(1, Ordering::Relaxed);
-            return Ok(dec.lookup(&code).to_vec());
-        }
-        let m = Matrix::from_vec(1, code.len(), code).expect("code buffer matches encoder k");
-        let out = stack.decode(&m)?;
-        Ok(out.row(0).to_vec())
-    }
-
-    /// Inserts a computed embedding into the shard's dynamic tier (FIFO
-    /// eviction at the per-shard budget); no-op when the tier is disabled
-    /// or another thread already inserted the key.
-    ///
-    /// The evicted entry's buffer is recycled for the incoming value, so
-    /// once a shard's tier is full, admission stops allocating: the map
-    /// and FIFO stay at constant size and the embedding vector is reused.
+    /// Admits a computed embedding into the shard's dynamic tier and
+    /// counts the eviction it may cause; a disabled tier is skipped
+    /// without taking the lock.
     fn admit(&self, shard: &CacheShard, key: (usize, u64), v: &[f32]) {
-        if self.dynamic_per_shard == 0 {
-            return;
-        }
-        let mut tier = shard.dynamic.write();
-        if tier.entries.contains_key(&key) {
-            return;
-        }
-        let mut recycled: Option<Vec<f32>> = None;
-        while tier.entries.len() >= self.dynamic_per_shard {
-            let Some(oldest) = tier.fifo.pop_front() else {
-                break;
-            };
-            recycled = tier.entries.remove(&oldest);
+        if self.dynamic_per_shard > 0 && shard.dynamic.write().admit(key.0, key.1, v) {
             shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let mut buf = recycled.unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(v);
-        tier.entries.insert(key, buf);
-        tier.fifo.push_back(key);
     }
 }
 
@@ -1381,6 +1142,11 @@ mod tests {
         assert_eq!(small.flops_per_lookup(), (2 * 8 * 16) as u64);
     }
 
+    fn one_shard(encoder: Option<EncoderCache>) -> ShardedMpCache {
+        let cfg = ShardedCacheConfig { shards: 1, dynamic_entries: 0 };
+        ShardedMpCache::new(encoder, None, cfg)
+    }
+
     #[test]
     fn mpcache_counts_hits_and_misses() {
         let s = stack();
@@ -1388,7 +1154,7 @@ mod tests {
             Ok(s.infer(&[id]).unwrap().row(0).to_vec())
         })
         .unwrap();
-        let cache = MpCache::new(Some(enc), None);
+        let cache = one_shard(Some(enc));
         let _ = cache.embed(&s, 0, 3).unwrap(); // hit
         let _ = cache.embed(&s, 0, 99).unwrap(); // miss -> full stack
         let stats = cache.stats();
@@ -1400,37 +1166,41 @@ mod tests {
     #[test]
     fn mpcache_miss_path_without_decoder_is_exact() {
         let s = stack();
-        let cache = MpCache::new(None, None);
-        let via_cache = cache.embed(&s, 0, 55).unwrap();
+        let via_cache = one_shard(None).embed(&s, 0, 55).unwrap();
         let exact = s.infer(&[55]).unwrap();
         assert_eq!(via_cache.as_slice(), exact.row(0));
     }
 
-    #[test]
-    fn lru_cache_hits_after_insert_and_respects_capacity() {
-        let s = stack();
-        let mut lru = LruEncoderCache::new(8, 200); // 4 entries
-        assert_eq!(lru.max_entries(), 4);
-        for id in 0..6u64 {
-            let _ = lru.embed(&s, 0, id).unwrap();
+    use EvictionPolicy::{Fifo, Lru, SegmentedLru};
+
+    /// Serves `id` (feature 0) from `tier` alone, the way
+    /// `ablation_cache_policy` drives it: a hit is the policy's `touch`,
+    /// a miss runs the full stack and admits. Returns the row, whether
+    /// it hit, and whether admitting it evicted.
+    fn serve(tier: &mut DynamicTier, s: &DheStack, id: u64) -> (Vec<f32>, bool, bool) {
+        if let Some(hit) = tier.touch(0, id) {
+            return (hit.to_vec(), true, false);
         }
-        assert!(lru.len() <= 4);
-        // Recently used id hits; a long-evicted one misses.
-        let before = lru.hit_rate();
-        let _ = lru.embed(&s, 0, 5).unwrap();
-        assert!(lru.hit_rate() >= before, "recent id should hit");
+        let row = s.infer(&[id]).unwrap().row(0).to_vec();
+        let evicted = tier.admit(0, id, &row);
+        (row, false, evicted)
     }
 
     #[test]
-    fn lru_matches_full_stack_output() {
+    fn every_policy_respects_capacity_and_returns_full_stack_rows() {
         let s = stack();
-        let mut lru = LruEncoderCache::new(8, 10_000);
-        let via = lru.embed(&s, 0, 42).unwrap();
-        let again = lru.embed(&s, 0, 42).unwrap();
-        let direct = s.infer(&[42]).unwrap();
-        assert_eq!(via, again);
-        assert_eq!(via.as_slice(), direct.row(0));
-        assert!(lru.hit_rate() > 0.0);
+        for policy in [Fifo, Lru, SegmentedLru] {
+            let mut tier = DynamicTier::new(policy, 4);
+            for id in 0..6u64 {
+                let (row, hit, _) = serve(&mut tier, &s, id);
+                assert_eq!(row.as_slice(), s.infer(&[id]).unwrap().row(0), "{policy:?}");
+                assert!(!hit && tier.len() <= 4, "{policy:?}");
+            }
+            // The most recent admission is resident and served unchanged.
+            let (again, hit, _) = serve(&mut tier, &s, 5);
+            assert!(hit, "{policy:?}: recent id should hit");
+            assert_eq!(again.as_slice(), s.infer(&[5]).unwrap().row(0));
+        }
     }
 
     #[test]
@@ -1564,10 +1334,10 @@ mod tests {
 
     #[test]
     fn online_cache_budgets_match_static_build_semantics() {
-        // Regression for the ablation's budget parity: every online policy
-        // must round the byte budget *down* to whole entries exactly like
-        // EncoderCache::build — a sub-entry budget disables the tier
-        // instead of silently granting one entry.
+        // Regression for the ablation's budget parity: the rule that sizes
+        // the online tiers rounds the byte budget *down* to whole entries
+        // exactly like EncoderCache::build — a sub-entry budget disables
+        // the tier instead of silently granting one entry.
         let s = stack();
         for (bytes, want) in [(0u64, 0usize), (47, 0), (144, 3), (192, 4)] {
             let built = EncoderCache::build(&counts_single_feature(1), 8, bytes, |_, id| {
@@ -1575,62 +1345,54 @@ mod tests {
             })
             .unwrap();
             assert_eq!(built.len(), want, "{bytes} B static");
-            assert_eq!(LruEncoderCache::new(8, bytes).max_entries(), want, "{bytes} B lru");
-            assert_eq!(FifoEncoderCache::new(8, bytes).max_entries(), want, "{bytes} B fifo");
-            assert_eq!(
-                SegmentedLruEncoderCache::new(8, bytes).max_entries(),
-                want,
-                "{bytes} B slru"
-            );
+            assert_eq!(EncoderCache::entries_for_budget(8, bytes), want, "{bytes} B online");
         }
     }
 
     #[test]
     fn zero_budget_online_caches_stay_empty_but_serve() {
         let s = stack();
-        let mut lru = LruEncoderCache::new(8, 10);
-        let mut fifo = FifoEncoderCache::new(8, 10);
-        let mut slru = SegmentedLruEncoderCache::new(8, 10);
         let exact = s.infer(&[42]).unwrap();
-        for _ in 0..2 {
-            assert_eq!(lru.embed(&s, 0, 42).unwrap().as_slice(), exact.row(0));
-            assert_eq!(fifo.embed(&s, 0, 42).unwrap().as_slice(), exact.row(0));
-            assert_eq!(slru.embed(&s, 0, 42).unwrap().as_slice(), exact.row(0));
+        for policy in [Fifo, Lru, SegmentedLru] {
+            let mut tier = DynamicTier::new(policy, EncoderCache::entries_for_budget(8, 10));
+            for _ in 0..2 {
+                let (row, hit, _) = serve(&mut tier, &s, 42);
+                assert_eq!(row.as_slice(), exact.row(0), "{policy:?}");
+                assert!(!hit, "{policy:?}: repeats recompute, never hit");
+            }
+            assert!(tier.is_empty(), "{policy:?}: disabled tier never stores");
         }
-        assert_eq!(lru.len(), 0, "disabled tier never stores");
-        assert_eq!(fifo.len(), 0);
-        assert_eq!(slru.len(), 0);
-        assert_eq!(lru.hit_rate(), 0.0, "repeats recompute, never hit");
     }
 
     #[test]
     fn fifo_cache_evicts_in_insertion_order() {
+        // A reused id is still FIFO's next victim; the recency policies
+        // evict the untouched one instead.
         let s = stack();
-        let mut fifo = FifoEncoderCache::new(8, 48 * 2);
-        assert_eq!(fifo.max_entries(), 2);
-        let _ = fifo.embed(&s, 0, 1).unwrap();
-        let _ = fifo.embed(&s, 0, 2).unwrap();
-        let _ = fifo.embed(&s, 0, 1).unwrap(); // hit; FIFO order unchanged
-        let _ = fifo.embed(&s, 0, 3).unwrap(); // evicts 1 (oldest inserted)
-        assert_eq!(fifo.len(), 2);
-        let before = fifo.hit_rate();
-        let _ = fifo.embed(&s, 0, 1).unwrap();
-        assert!(fifo.hit_rate() < before, "1 was evicted despite its reuse");
+        for (policy, survives) in [(Fifo, false), (Lru, true), (SegmentedLru, true)] {
+            let mut tier = DynamicTier::new(policy, 2);
+            serve(&mut tier, &s, 1);
+            serve(&mut tier, &s, 2);
+            assert!(serve(&mut tier, &s, 1).1, "{policy:?}: resident id hits");
+            assert!(serve(&mut tier, &s, 3).2, "{policy:?}: full tier evicts");
+            assert_eq!(tier.len(), 2);
+            assert_eq!(serve(&mut tier, &s, 1).1, survives, "{policy:?}");
+        }
     }
 
     #[test]
     fn slru_protects_reused_ids_from_scan_floods() {
         let s = stack();
-        let mut slru = SegmentedLruEncoderCache::new(8, 48 * 5);
-        let _ = slru.embed(&s, 0, 0).unwrap();
-        let _ = slru.embed(&s, 0, 0).unwrap(); // probation hit -> protected
-        for id in 1..=100u64 {
-            let _ = slru.embed(&s, 0, id).unwrap(); // one-shot scan flood
+        for (policy, survives) in [(SegmentedLru, true), (Lru, false), (Fifo, false)] {
+            let mut tier = DynamicTier::new(policy, 5);
+            serve(&mut tier, &s, 0);
+            serve(&mut tier, &s, 0); // probation hit -> protected
+            for id in 1..=100u64 {
+                serve(&mut tier, &s, id); // one-shot scan flood
+            }
+            assert!(tier.len() <= 5);
+            assert_eq!(serve(&mut tier, &s, 0).1, survives, "{policy:?}");
         }
-        assert!(slru.len() <= 5);
-        let before = slru.hit_rate();
-        let _ = slru.embed(&s, 0, 0).unwrap();
-        assert!(slru.hit_rate() > before, "protected id survived the scan");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::path::{Path, PathBuf};
 
 use mprec_core::mpcache::{ShardedCacheConfig, ShardedMpCache};
 use mprec_core::persist::Segment;
+use mprec_core::CoreError;
 use mprec_embed::{DheConfig, DheStack};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,13 +42,17 @@ impl Drop for TempDir {
 }
 
 fn stack() -> DheStack {
+    stack_with_out_dim(4)
+}
+
+fn stack_with_out_dim(out_dim: usize) -> DheStack {
     let mut rng = StdRng::seed_from_u64(7);
     DheStack::new(
         DheConfig {
             k: 8,
             dnn: 16,
             h: 1,
-            out_dim: 4,
+            out_dim,
         },
         0,
         &mut rng,
@@ -241,4 +246,39 @@ fn corrupt_trailing_checksum_drops_only_the_bad_record() {
     let corrupt = Segment::read_from(&victim).expect("corrupt read still succeeds");
     assert!(corrupt.truncated(), "corruption is detected");
     assert_eq!(corrupt.records(), full.records() - 1);
+}
+
+#[test]
+fn records_of_another_emb_dim_fail_the_lookup_instead_of_panicking() {
+    // A snapshot or warm-start segment written under `out_dim` 4 loads
+    // fine (segments carry no model identity) but must never be served
+    // to an 8-dim stack: not as a short row, not as a worker panic.
+    let narrow = stack();
+    let wide = stack_with_out_dim(8);
+    let dir = TempDir::new("wrong-dim");
+
+    let donor = fresh_cache();
+    warm(&donor, &narrow, 0..8);
+    donor.snapshot_dynamic(dir.path()).expect("snapshot");
+    let foreign = donor.export_dynamic_segment(|_| true);
+
+    let from_segment = fresh_cache();
+    assert_eq!(from_segment.load_disk_segment(&foreign).expect("load"), 8);
+    let from_snapshot = fresh_cache();
+    assert_eq!(from_snapshot.restore_dynamic(dir.path()).expect("restore"), 8);
+
+    for (tier, cache) in [("disk", from_segment), ("dynamic", from_snapshot)] {
+        let scalar = cache.embed(&wide, 0, 3);
+        assert!(
+            matches!(scalar, Err(CoreError::BadConfig(_))),
+            "{tier} record, scalar path: {scalar:?}"
+        );
+        let batch = cache.embed_batch(&wide, 0, &[1000, 3, 4]);
+        assert!(
+            matches!(batch, Err(CoreError::BadConfig(_))),
+            "{tier} record, batch path: {batch:?}"
+        );
+        // Ids the foreign segment never held are served at the stack's dim.
+        assert_eq!(cache.embed(&wide, 0, 1000).expect("cold id").len(), 8);
+    }
 }

@@ -4,7 +4,9 @@
 
 use std::collections::HashMap;
 
-use mprec::core::mpcache::{DecoderCache, EncoderCache, LruEncoderCache, MpCache};
+use mprec::core::mpcache::{
+    DecoderCache, DynamicTier, EncoderCache, EvictionPolicy, ShardedCacheConfig, ShardedMpCache,
+};
 use mprec::data::zipf::Zipf;
 use mprec::data::{DatasetSpec, SyntheticDataset};
 use mprec::embed::{DheConfig, DheStack};
@@ -26,6 +28,41 @@ fn stack(feature: usize) -> DheStack {
     .expect("stack")
 }
 
+/// The serving cache as the paper's static configuration: one shard, no
+/// dynamic tier.
+fn static_only(encoder: EncoderCache, decoder: Option<DecoderCache>) -> ShardedMpCache {
+    let cfg = ShardedCacheConfig { shards: 1, dynamic_entries: 0 };
+    ShardedMpCache::new(Some(encoder), decoder, cfg)
+}
+
+/// An LRU [`DynamicTier`] driven alone, counting its own hit rate.
+struct LruTier {
+    tier: DynamicTier,
+    hits: u64,
+    accesses: u64,
+}
+
+impl LruTier {
+    fn new(max_entries: usize) -> Self {
+        LruTier { tier: DynamicTier::new(EvictionPolicy::Lru, max_entries), hits: 0, accesses: 0 }
+    }
+
+    fn embed(&mut self, stack: &DheStack, id: u64) -> Vec<f32> {
+        self.accesses += 1;
+        if let Some(hit) = self.tier.touch(0, id) {
+            self.hits += 1;
+            return hit.to_vec();
+        }
+        let row = stack.infer(&[id]).expect("infer").row(0).to_vec();
+        self.tier.admit(0, id, &row);
+        row
+    }
+
+    fn hit_rate(&self) -> f64 {
+        self.hits as f64 / self.accesses.max(1) as f64
+    }
+}
+
 #[test]
 fn zipf_trace_gives_useful_hit_rates() {
     // Build per-feature access counts from the real synthetic trace and
@@ -44,7 +81,9 @@ fn zipf_trace_gives_useful_hit_rates() {
         Ok(stacks[f].infer(&[id]).expect("infer").row(0).to_vec())
     })
     .expect("build");
-    let mp = MpCache::new(Some(cache), None);
+    // The cached entries fit the budget.
+    assert!(cache.used_bytes() <= 64_000);
+    let mp = static_only(cache, None);
 
     let eval = ds.sample_batch(4_000);
     for (f, col) in eval.sparse.iter().enumerate() {
@@ -56,8 +95,6 @@ fn zipf_trace_gives_useful_hit_rates() {
     // 64 KB over 26 zipf(0.9) features: a small cache already captures a
     // large fraction of accesses — that's the entire premise of Fig. 16.
     assert!(hit > 0.2, "hit rate {hit} too low for a power-law trace");
-    // And the cached entries fit the budget.
-    assert!(mp.encoder.as_ref().unwrap().used_bytes() <= 64_000);
 }
 
 #[test]
@@ -70,7 +107,7 @@ fn cache_hits_are_bit_exact_and_misses_match_stack() {
         Ok(s.infer(&[id]).expect("infer").row(0).to_vec())
     })
     .expect("build");
-    let mp = MpCache::new(Some(cache), None);
+    let mp = static_only(cache, None);
     for id in [1u64, 2, 777] {
         let via = mp.embed(&s, 0, id).expect("embed");
         let direct = s.infer(&[id]).expect("infer");
@@ -112,18 +149,18 @@ fn eviction_under_pressure_stays_within_budget_and_bit_exact() {
     // constantly, never exceed its entry budget, and still return
     // bit-exact embeddings for whatever it serves.
     let s = stack(0);
-    let mut cache = LruEncoderCache::new(8, 64 * (16 + 8 * 4));
-    let cap = cache.max_entries();
+    let cap = EncoderCache::entries_for_budget(8, 64 * (16 + 8 * 4));
     assert!(cap >= 32, "budget should admit a meaningful working set");
+    let mut cache = LruTier::new(cap);
 
     for id in 0..4096u64 {
-        let via = cache.embed(&s, 0, id).expect("embed");
+        let via = cache.embed(&s, id);
         let direct = s.infer(&[id]).expect("infer");
         assert_eq!(via.as_slice(), direct.row(0), "id {id}");
         assert!(
-            cache.len() <= cap,
+            cache.tier.len() <= cap,
             "{} entries exceed the {cap}-entry budget",
-            cache.len()
+            cache.tier.len()
         );
     }
     // A cold uniform sweep over 4K ids through a 64-entry cache is all
@@ -134,10 +171,10 @@ fn eviction_under_pressure_stays_within_budget_and_bit_exact() {
     // re-accessed repeatedly becomes all hits once resident.
     for _ in 0..10 {
         for id in 0..16u64 {
-            let _ = cache.embed(&s, 0, id).expect("embed");
+            let _ = cache.embed(&s, id);
         }
     }
-    let hot = cache.embed(&s, 0, 3).expect("embed");
+    let hot = cache.embed(&s, 3);
     assert_eq!(hot.as_slice(), s.infer(&[3]).expect("infer").row(0));
     assert!(
         cache.hit_rate() > 0.03,
@@ -158,10 +195,10 @@ fn hit_rate_is_monotone_in_zipf_skew() {
     for (i, alpha) in [0.5f64, 0.8, 1.1, 1.4].into_iter().enumerate() {
         let z = Zipf::new(support, alpha);
         let mut rng = StdRng::seed_from_u64(1000 + i as u64);
-        let mut cache = LruEncoderCache::new(8, 256 * (16 + 8 * 4));
+        let mut cache = LruTier::new(EncoderCache::entries_for_budget(8, 256 * (16 + 8 * 4)));
         for _ in 0..draws {
             let id = z.sample(&mut rng);
-            let _ = cache.embed(&s, 0, id).expect("embed");
+            let _ = cache.embed(&s, id);
         }
         rates.push((alpha, cache.hit_rate()));
     }
@@ -190,7 +227,7 @@ fn full_hierarchy_prefers_encoder_then_decoder() {
     let ids: Vec<u64> = (0..512).collect();
     let codes = s.encoder().encode_batch(&ids);
     let dec = DecoderCache::build(&s, &codes, 64, 4).expect("dec");
-    let mp = MpCache::new(Some(enc), Some(dec));
+    let mp = static_only(enc, Some(dec));
 
     let _ = mp.embed(&s, 0, 7).expect("hot id");
     let _ = mp.embed(&s, 0, 99_999).expect("cold id");
