@@ -3,8 +3,9 @@
 //! 70%) with tracing enabled, exports the recording as Chrome
 //! trace-event JSON (`TRACE_cluster.json` — load it in chrome://tracing
 //! or <https://ui.perfetto.dev>), validates it against the CI
-//! trace-smoke contract (syntactically valid JSON, monotonic virtual
-//! timestamps per track, nonzero route-decision events), and prints a
+//! trace-smoke contract (the recording's own lifecycle invariants,
+//! syntactically valid JSON, monotonic virtual timestamps per track,
+//! nonzero route-decision events), and prints a
 //! compact text "explain" of one query's decision chain: which batch it
 //! joined, the mapping Algorithm 2 chose, and the rejected candidates'
 //! scored costs.
@@ -72,6 +73,14 @@ fn main() {
         "node churn must lose no query"
     );
     let rec = report.trace.expect("recorder was enabled");
+    // The recording's own invariants, no twin needed: every enqueue ends
+    // in one complete or shed, every completed batch was formed, routed
+    // and executed once, virtual times and latencies add up bit for bit.
+    let lifecycle = rec.validate().expect("recording validates");
+    assert!(
+        lifecycle.lifecycle_checked || rec.total_dropped() > 0,
+        "lifecycle checks may only be skipped when a ring spilled"
+    );
 
     let json = chrome_trace_json(&rec);
     // The CI trace-smoke contract: valid JSON, per-track monotonic
@@ -84,11 +93,12 @@ fn main() {
     std::fs::write("TRACE_cluster.json", &json).expect("write TRACE_cluster.json");
 
     println!(
-        "\ncaptured {} events across {} tracks ({} route decisions, {} dropped)",
+        "\ncaptured {} events across {} tracks ({} route decisions, {} dropped, lifecycle {})",
         summary.events,
         summary.tracks,
         summary.route_decisions,
         rec.total_dropped(),
+        if lifecycle.lifecycle_checked { "checked" } else { "skipped: ring spilled" },
     );
     println!(
         "wrote TRACE_cluster.json ({} bytes) — open in chrome://tracing or ui.perfetto.dev",

@@ -516,6 +516,52 @@ impl ChaosConfig {
         self.timeout_mult > 0.0
     }
 
+    /// Most backoff retries a leg may be configured with: retry `k`
+    /// backs off `backoff_base_us * 2^(k-1)`, and the doubling has to
+    /// stay far inside `u64`.
+    pub const MAX_RETRIES: u32 = 32;
+
+    /// Checks the knobs the ladder's arithmetic relies on: every
+    /// duration finite and non-negative, `hedge_frac` inside `[0, 1]`,
+    /// `max_retries` at most [`ChaosConfig::MAX_RETRIES`], and the
+    /// brownout rungs non-negative and ascending (a rung may be
+    /// `+inf`, never NaN).
+    pub fn validate(&self) -> Result<(), String> {
+        let duration = |name: &str, v: f64| {
+            if v.is_finite() && v >= 0.0 {
+                Ok(())
+            } else {
+                Err(format!("chaos.{name} must be finite and >= 0, got {v}"))
+            }
+        };
+        duration("timeout_mult", self.timeout_mult)?;
+        duration("backoff_base_us", self.backoff_base_us)?;
+        if !(0.0..=1.0).contains(&self.hedge_frac) {
+            return Err(format!(
+                "chaos.hedge_frac must lie in [0, 1], got {}",
+                self.hedge_frac
+            ));
+        }
+        if self.max_retries > Self::MAX_RETRIES {
+            return Err(format!(
+                "chaos.max_retries must be <= {}, got {}",
+                Self::MAX_RETRIES,
+                self.max_retries
+            ));
+        }
+        let rungs = [
+            self.brownout_narrow_us,
+            self.brownout_table_only_us,
+            self.brownout_shed_us,
+        ];
+        if !(rungs[0] >= 0.0 && rungs[0] <= rungs[1] && rungs[1] <= rungs[2]) {
+            return Err(format!(
+                "chaos brownout rungs must be >= 0 and ascending, got {rungs:?}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Applies the brownout candidate-narrowing ladder to a routing
     /// candidate set: masks (sets to `+inf`) every completion whose
     /// degrade rank the current rung has turned off, so the scheduler's
@@ -831,6 +877,37 @@ mod tests {
         assert!(on.brownout);
         assert!(on.brownout_narrow_us < on.brownout_table_only_us);
         assert!(on.brownout_table_only_us < on.brownout_shed_us);
+    }
+
+    #[test]
+    fn chaos_config_validate_guards_the_ladder_arithmetic() {
+        let hardened = ChaosConfig::hardened;
+        assert!(ChaosConfig::default().validate().is_ok());
+        assert!(hardened().validate().is_ok());
+        // A rung may be infinite (never reached), and the cap itself is
+        // a legal retry count.
+        let open_ended = ChaosConfig {
+            brownout_shed_us: f64::INFINITY,
+            max_retries: ChaosConfig::MAX_RETRIES,
+            ..hardened()
+        };
+        assert!(open_ended.validate().is_ok());
+        for (what, chaos) in [
+            ("retries past the cap", ChaosConfig { max_retries: 33, ..hardened() }),
+            ("NaN timeout", ChaosConfig { timeout_mult: f64::NAN, ..hardened() }),
+            ("negative timeout", ChaosConfig { timeout_mult: -1.0, ..hardened() }),
+            ("infinite timeout", ChaosConfig { timeout_mult: f64::INFINITY, ..hardened() }),
+            ("hedge past the deadline", ChaosConfig { hedge_frac: 1.5, ..hardened() }),
+            ("negative hedge fraction", ChaosConfig { hedge_frac: -0.1, ..hardened() }),
+            ("NaN hedge fraction", ChaosConfig { hedge_frac: f64::NAN, ..hardened() }),
+            ("negative backoff", ChaosConfig { backoff_base_us: -200.0, ..hardened() }),
+            ("infinite backoff", ChaosConfig { backoff_base_us: f64::INFINITY, ..hardened() }),
+            ("NaN rung", ChaosConfig { brownout_shed_us: f64::NAN, ..hardened() }),
+            ("negative rung", ChaosConfig { brownout_narrow_us: -1.0, ..hardened() }),
+            ("descending rungs", ChaosConfig { brownout_table_only_us: 1.0, ..hardened() }),
+        ] {
+            assert!(chaos.validate().is_err(), "{what} must be rejected");
+        }
     }
 
     #[test]

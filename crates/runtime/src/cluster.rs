@@ -17,12 +17,12 @@
 //!   through the ring's remap-diff API ([`HashRing::diff`] +
 //!   [`FeatureShardPlan::apply`]);
 //! * a **front-end** micro-batches queries per tenant and routes each
-//!   batch by Algorithm 2 in deterministic virtual time (the shared
-//!   [`mprec_core::scheduler::select_mapping`] rule over its own
-//!   per-node `free_at` ledger), then
-//!   **scatters** each batch to the *pruned* target set of the routed
-//!   path — only the nodes whose per-node cache state the path touches,
-//!   plus one designated executor for replicated table-only work;
+//!   batch by Algorithm 2 in deterministic virtual time — all of it the
+//!   sans-IO dispatcher core [`mprec_serving::dispatch`], which this
+//!   module drives with threads — then **scatters** each batch to the
+//!   *pruned* target set of the routed path — only the nodes whose
+//!   per-node cache state the path touches, plus one designated
+//!   executor for replicated table-only work;
 //! * a **merger** gathers the partial pools, sums them, runs the top
 //!   MLP, and records measured latencies into a mergeable histogram.
 //!
@@ -49,9 +49,10 @@
 //!   latency — original attempt plus retry leg — in the virtual
 //!   histogram and SLA accounting.
 //!
-//! The replay simulator (`mprec_serving::replay::replay_cluster`)
-//! re-implements this contract independently; `tests/sim_vs_runtime.rs`
-//! pins exact agreement, including across node churn.
+//! `mprec_serving::replay::replay_cluster` drives the same core with no
+//! IO over [`Cluster::replay_spec`]; `tests/sim_vs_runtime.rs` uses it
+//! to check that this module *executed* what the core decided, and
+//! `tests/cluster_golden.rs` pins the decisions themselves.
 //!
 //! # Examples
 //!
@@ -96,6 +97,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -104,21 +106,23 @@ use std::time::{Duration, Instant};
 use mprec_core::mpcache::CacheStats;
 use mprec_core::planner::MappingSet;
 use mprec_core::ring::{HashRing, DEFAULT_VNODES};
-use mprec_core::scheduler::{class_pressure_mask, select_mapping};
 use mprec_data::query::{Query, QueryTraceConfig};
 use mprec_data::scenario::{self, ChaosConfig, ChurnAction, ChurnEvent, FaultPlan, LoadScenario};
-use mprec_data::traffic::{SlaClass, TrafficConfig};
+use mprec_data::traffic::TrafficConfig;
 use mprec_nn::MlpScratch;
-use mprec_serving::{PathUsage, ServingOutcome};
-use mprec_tensor::Matrix;
-use mprec_trace::{
-    EventRing, MetricId, MetricsRegistry, MetricsSnapshot, TraceConfig, TraceEvent, TraceRecording,
+use mprec_serving::dispatch::{
+    dispatch, AdaptiveTrigger, ClusterChurnSpec, ClusterEpochSpec, ClusterReplaySpec,
+    DispatchSpec, DispatchTally, Executor, Flight,
 };
+use mprec_serving::replay::ReplayConfig;
+use mprec_serving::ServingOutcome;
+use mprec_tensor::Matrix;
+use mprec_trace::{EventRing, MetricId, MetricsSnapshot, TraceConfig, TraceEvent, TraceRecording};
 use parking_lot::{Condvar, Mutex};
 
 pub use mprec_core::ring::FeatureShardPlan;
 
-use crate::engine::{build_path_mappings, degrade_rank, PathAccuracy, RoutePolicy, TenantReport};
+use crate::engine::{build_path_mappings, PathAccuracy, RoutePolicy, TenantReport};
 use crate::histogram::{LatencyHistogram, DEFAULT_SUBS_PER_OCTAVE};
 use crate::model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};
 use crate::queue::BoundedQueue;
@@ -181,9 +185,7 @@ pub struct ClusterConfig {
     /// the epoch right after that node joined, when its lookups are
     /// served by the warm-started persistent disk tier instead of RAM.
     /// The penalty is folded into the epoch's latency profiles, so
-    /// Algorithm 2 routes around the cold tier and the twin replay
-    /// (which receives the same profiles) agrees exactly. 0 disables the
-    /// charge.
+    /// Algorithm 2 routes around the cold tier. 0 disables the charge.
     pub disk_hit_us: f64,
     /// Per-path accuracy book.
     pub accuracy: PathAccuracy,
@@ -214,7 +216,7 @@ pub struct ClusterConfig {
     /// Multi-tenant open-loop traffic engine. When enabled (at least
     /// one tenant), the cluster serves the tenanted trace it generates
     /// instead of `trace`/`scenario`; each tenant batches on its own
-    /// deadline axis, routes under its own [`SlaClass`], and is
+    /// deadline axis, routes under its own `SlaClass`, and is
     /// accounted in [`ClusterReport::tenants`]. Empty (the default)
     /// keeps the legacy single-stream trace bit for bit.
     pub tenants: TrafficConfig,
@@ -331,36 +333,39 @@ struct ClusterNode {
     capacity_gflops: f64,
 }
 
-/// One interval of cluster membership between churn events: the live
-/// node set, its shard plan, the per-path pruned scatter assignments,
-/// and the capacity-aware slowest-shard routing profiles.
+/// One interval of cluster membership between churn events. What the
+/// dispatcher routes on — the live node set, the shard plan, the
+/// capacity-aware slowest-shard routing profiles, the pruned target
+/// ids and hedge successors — is the embedded [`ClusterEpochSpec`]
+/// (reachable as plain fields through `Deref`: `epoch.live`,
+/// `epoch.plan`, `epoch.mappings`, `epoch.hedge_next`); what only
+/// execution needs rides next to it.
 #[derive(Debug)]
 pub struct ClusterEpoch {
     /// Virtual start time of the epoch (0 for the boot epoch, the churn
     /// event's timestamp afterwards).
     pub start_us: f64,
-    /// Live node ids, ascending.
-    pub live: Vec<u32>,
-    /// The feature-shard assignment in force.
-    pub plan: FeatureShardPlan,
-    /// Virtual-time mapping set the front-end routes on (shared with
-    /// the replay simulator by the differential tests).
-    pub mappings: MappingSet,
     /// Per mapping index: the pruned scatter assignment — `(node id,
     /// features that node pools for a batch on this path)`. DHE-cached
     /// features always execute on their shard owner; replicated
     /// table-only features fold onto the first target.
     pub assignments: Vec<Vec<(u32, Arc<Vec<usize>>)>>,
-    /// Per live node: its consistent-hash-ring successor — the hedge
-    /// target for a slow scatter leg on that node. Pairs `(node,
-    /// successor)` in live-node order; empty for a single-node epoch.
-    pub hedge_next: Vec<(u32, u32)>,
+    /// The epoch as the dispatcher core (and a replay of it) sees it.
+    pub spec: ClusterEpochSpec,
+}
+
+impl Deref for ClusterEpoch {
+    type Target = ClusterEpochSpec;
+
+    fn deref(&self) -> &ClusterEpochSpec {
+        &self.spec
+    }
 }
 
 impl ClusterEpoch {
     /// The scatter target node ids of mapping `idx`, ascending.
     pub fn targets(&self, idx: usize) -> Vec<u32> {
-        self.assignments[idx].iter().map(|&(id, _)| id).collect()
+        self.spec.targets[idx].clone()
     }
 }
 
@@ -474,8 +479,7 @@ pub struct ClusterReport {
     /// legacy untenanted traffic). Offered load partitions exactly:
     /// Σ (completed + shed) over rows equals the trace length, and each
     /// row's histogram/violation counters cover only that tenant's
-    /// queries — the isolation surface `tests/sim_vs_runtime.rs` pins
-    /// against the replay twin.
+    /// queries.
     pub tenants: Vec<TenantReport>,
     /// Per-epoch slices: membership, dispatch counts, cache deltas.
     pub epochs: Vec<EpochReport>,
@@ -485,8 +489,8 @@ pub struct ClusterReport {
     pub nodes: usize,
     /// Flight-recorder tracks (`dispatcher`, `node-{id}-worker-{w}`,
     /// `merger`) when [`ClusterConfig::recorder`] was enabled. The
-    /// dispatcher track is deterministic in `(config, seed)` and is the
-    /// twin-agreement surface pinned by `tests/sim_vs_runtime.rs`.
+    /// dispatcher track is deterministic in `(config, seed)`
+    /// (`tests/cluster_golden.rs` pins it).
     pub trace: Option<TraceRecording>,
 }
 
@@ -625,78 +629,12 @@ impl Drop for FailOnPanic<'_> {
     }
 }
 
-/// Front-end (deterministic) tallies.
-#[derive(Debug)]
-struct DispatchTally {
-    usage: PathUsage,
-    correct_samples: f64,
-    virtual_violations: u64,
-    routed: u64,
-    decisions: Vec<PathKind>,
-    /// Per-tenant tallies, indexed by tenant id (preallocated before
-    /// the dispatch loop so steady-state accounting never allocates).
-    per_tenant: Vec<TenantTally>,
-    virtual_histogram: LatencyHistogram,
-    retried_batches: u64,
-    retried_queries: u64,
-    /// Chaos-plane totals (per-slot splits live in `registry`).
-    shed_queries: u64,
-    leg_timeouts: u64,
-    hedged_legs: u64,
-    leg_retries: u64,
-    epoch_batches: Vec<u64>,
-    /// Incremental shard-migration steps executed (streaming chunk
-    /// flips plus adaptive partial migrations).
-    migration_steps: u64,
-    /// Overlay epochs the adaptive planner opened.
-    adaptive_replans: u64,
-    /// Per-replica cache snapshots taken at each processed epoch
-    /// boundary (quiescent).
-    epoch_snapshots: Vec<Vec<CacheStats>>,
-    aborted: bool,
-    /// Dispatcher flight-recorder track (None when tracing is off).
-    ring: Option<EventRing>,
-    /// Typed metric cells, one slot per replica (slot 0 doubles as the
-    /// cluster-global slot for slack/violation/drop metrics).
-    registry: MetricsRegistry,
-    /// One registry snapshot per closed epoch, in epoch order.
-    epoch_metrics: Vec<MetricsSnapshot>,
-    /// Per-replica virtual busy-µs inside the current epoch (feeds the
-    /// occupancy gauge, reset at each barrier).
-    busy_us: Vec<f64>,
-    /// SLA-slack distribution of the current epoch (reset at each
-    /// barrier).
-    slack: LatencyHistogram,
-    /// Latest virtual completion seen (closes the final epoch's span).
-    last_done_us: f64,
-}
-
-impl DispatchTally {
-    /// Records `event()` on the dispatcher track; the event is only
-    /// built when the flight recorder is on.
-    fn trace(&mut self, event: impl FnOnce() -> TraceEvent) {
-        if let Some(ring) = self.ring.as_mut() {
-            ring.record(event());
-        }
-    }
-}
-
-/// One tenant's in-flight front-end tallies.
-#[derive(Debug, Default)]
-struct TenantTally {
-    completed: u64,
-    samples: u64,
-    shed: u64,
-    violations: u64,
-    latency_sum_us: f64,
-    vhist: LatencyHistogram,
-}
-
 /// One internal rebalance step on the virtual-time axis. The configured
 /// [`ChurnEvent`]s expand into these at build time: a failure or a
 /// legacy barrier join stays a single step, a streaming join becomes a
 /// window-open plus one flip per chunk, and a configured drain appends
-/// a penalty lift. Step `i` opens epoch `i + 1`.
+/// a penalty lift. Step `i` opens epoch `i + 1`; the dispatcher core
+/// sees step `i` as `Cluster::events[i]`.
 #[derive(Debug, Clone)]
 enum RebalanceAction {
     /// Stop-the-world removal of a failed node (always a barrier: a
@@ -730,23 +668,6 @@ enum RebalanceAction {
     PenaltyLift,
 }
 
-#[derive(Debug, Clone)]
-struct InternalEvent {
-    at_us: f64,
-    action: RebalanceAction,
-}
-
-/// Overlay epochs the adaptive planner opened during the most recent
-/// serve, appended after the static schedule in the merged epoch index
-/// space (static epochs first, then these in trigger order).
-#[derive(Debug, Default)]
-struct AdaptiveState {
-    epochs: Vec<ClusterEpoch>,
-    /// Virtual trigger time per overlay epoch (the replay spec's event
-    /// timestamps; routing switches at the triggering flush).
-    at_us: Vec<f64>,
-}
-
 /// The elastic feature-sharded multi-node serving runtime: build once
 /// (optionally scheduling churn), serve a trace.
 #[derive(Debug)]
@@ -755,15 +676,20 @@ pub struct Cluster {
     nodes: Vec<ClusterNode>,
     epochs: Vec<ClusterEpoch>,
     paths: Vec<PathKind>,
-    labels: Vec<String>,
     /// The churn schedule expanded into internal rebalance steps, one
-    /// per epoch transition (parallel to `epochs[1..]`).
-    events: Vec<InternalEvent>,
+    /// per epoch transition (parallel to `epochs[1..]`): when each one
+    /// takes effect and whether it fails a node, as the dispatcher core
+    /// sees it, and what this module does at its barrier.
+    events: Vec<ClusterChurnSpec>,
+    actions: Vec<RebalanceAction>,
     /// Ring state after the whole churn schedule — adaptive overlay
     /// epochs read their hedge successors off it.
     ring: HashRing,
-    /// What the adaptive planner did during the most recent serve.
-    adaptive: Mutex<AdaptiveState>,
+    /// Overlay epochs the adaptive planner opened during the most
+    /// recent serve, in trigger order: merged epoch indices continue
+    /// after the static schedule, and each one's `start_us` is the
+    /// flush instant that triggered it.
+    adaptive: Mutex<Vec<ClusterEpoch>>,
 }
 
 impl Cluster {
@@ -801,6 +727,7 @@ impl Cluster {
                 "max_batch_samples must be >= 1".into(),
             ));
         }
+        cfg.chaos.validate().map_err(RuntimeError::BadConfig)?;
         let mut ids: Vec<u32> = (0..cfg.nodes as u32).collect();
         for ev in &cfg.churn {
             if ev.action == ChurnAction::Join {
@@ -837,7 +764,17 @@ impl Cluster {
         let mut ring = HashRing::with_nodes(cfg.vnodes, 0..cfg.nodes as u32);
         let mut plan = FeatureShardPlan::new(&ring, features);
         let mut epochs = Vec::with_capacity(cfg.churn.len() + 1);
-        let mut events: Vec<InternalEvent> = Vec::new();
+        let mut events: Vec<ClusterChurnSpec> = Vec::new();
+        let mut actions: Vec<RebalanceAction> = Vec::new();
+        // Only a failure retries the batches in flight to its node.
+        let mut schedule = |at_us: f64, action: RebalanceAction| {
+            let failed = match action {
+                RebalanceAction::Fail(node) => Some(node),
+                _ => None,
+            };
+            events.push(ClusterChurnSpec { at_us, failed });
+            actions.push(action);
+        };
         epochs.push(build_epoch(&cfg, &nodes, 0.0, &ring, &plan, None)?);
         let mut last_at = 0.0f64;
         for (i, ev) in cfg.churn.iter().enumerate() {
@@ -875,10 +812,7 @@ impl Cluster {
                     // features remap to the survivors in one step.
                     plan.apply(&ring.diff(&old, features as u64));
                     debug_assert_eq!(plan, FeatureShardPlan::new(&ring, features));
-                    events.push(InternalEvent {
-                        at_us: ev.at_us,
-                        action: RebalanceAction::Fail(ev.node),
-                    });
+                    schedule(ev.at_us, RebalanceAction::Fail(ev.node));
                     epochs.push(build_epoch(&cfg, &nodes, ev.at_us, &ring, &plan, None)?);
                 }
                 ChurnAction::Join => {
@@ -906,13 +840,8 @@ impl Cluster {
                         } else {
                             rb.chunk_interval_us
                         };
-                        events.push(InternalEvent {
-                            at_us: ev.at_us,
-                            action: RebalanceAction::WindowOpen {
-                                node: ev.node,
-                                moves: diff.moves().len() as u64,
-                            },
-                        });
+                        let moves = diff.moves().len() as u64;
+                        schedule(ev.at_us, RebalanceAction::WindowOpen { node: ev.node, moves });
                         plan.begin_handoff(&diff);
                         epochs.push(build_epoch(&cfg, &nodes, ev.at_us, &ring, &plan, None)?);
                         for (k, chunk) in chunks.iter().enumerate() {
@@ -920,13 +849,7 @@ impl Cluster {
                             let feats: Vec<usize> =
                                 chunk.moves().iter().map(|m| m.key as usize).collect();
                             plan.commit_handoff(&feats);
-                            events.push(InternalEvent {
-                                at_us: at,
-                                action: RebalanceAction::ChunkFlip {
-                                    node: ev.node,
-                                    feats,
-                                },
-                            });
+                            schedule(at, RebalanceAction::ChunkFlip { node: ev.node, feats });
                             epochs.push(build_epoch(
                                 &cfg,
                                 &nodes,
@@ -946,10 +869,7 @@ impl Cluster {
                         // node's RAM tiers are cold (its lookups come
                         // from the warm-started disk tier): charge its
                         // paths the disk-hit penalty.
-                        events.push(InternalEvent {
-                            at_us: ev.at_us,
-                            action: RebalanceAction::Join(ev.node),
-                        });
+                        schedule(ev.at_us, RebalanceAction::Join(ev.node));
                         epochs.push(build_epoch(
                             &cfg,
                             &nodes,
@@ -972,33 +892,21 @@ impl Cluster {
                             f64::INFINITY
                         };
                         let at = lift_from + rb.drain_us.min(headroom);
-                        events.push(InternalEvent {
-                            at_us: at,
-                            action: RebalanceAction::PenaltyLift,
-                        });
+                        schedule(at, RebalanceAction::PenaltyLift);
                         epochs.push(build_epoch(&cfg, &nodes, at, &ring, &plan, None)?);
                     }
                 }
             }
         }
-        let (paths, labels) = {
-            let m = &epochs[0].mappings;
-            let labels = m
-                .mappings
-                .iter()
-                .map(|mp| mp.label(&m.platforms))
-                .collect();
-            (path_order(cfg.route), labels)
-        };
         Ok(Cluster {
+            paths: path_order(cfg.route),
             cfg,
             nodes,
             epochs,
-            paths,
-            labels,
             events,
+            actions,
             ring,
-            adaptive: Mutex::new(AdaptiveState::default()),
+            adaptive: Mutex::new(Vec::new()),
         })
     }
 
@@ -1095,9 +1003,8 @@ impl Cluster {
         &self.epochs
     }
 
-    /// The boot epoch's virtual-time mapping set (shared with the
-    /// replay simulator by differential tests; per-epoch sets live in
-    /// [`Cluster::epochs`]).
+    /// The boot epoch's virtual-time mapping set (per-epoch sets live
+    /// in [`Cluster::epochs`]).
     pub fn mapping_set(&self) -> &MappingSet {
         &self.epochs[0].mappings
     }
@@ -1118,59 +1025,29 @@ impl Cluster {
         self.nodes.iter().map(|n| n.id).collect()
     }
 
-    /// The cluster's serving contract as the replay simulator consumes
-    /// it: per-epoch routing profiles and pruned scatter target sets,
-    /// plus the internal rebalance steps separating epochs (streaming
-    /// sub-steps and adaptive re-plans included; only failures carry a
-    /// `failed` node, because only failures retry in-flight batches).
-    /// Overlay epochs the adaptive planner opened during the most
-    /// recent [`Cluster::serve`] are appended after the static
-    /// schedule, so call this *after* serving when the planner is on.
-    /// Feeding this to [`mprec_serving::replay::replay_cluster`] with
-    /// the same trace must reproduce this cluster's decision trail
-    /// exactly (`tests/sim_vs_runtime.rs`).
-    pub fn replay_spec(&self) -> mprec_serving::replay::ClusterReplaySpec {
+    /// What the dispatcher core ran on, as a replay consumes it: the
+    /// epoch specs and the rebalance steps separating them. Overlay
+    /// epochs the adaptive planner opened during the most recent
+    /// [`Cluster::serve`] are appended after the static schedule as
+    /// recorded events, so call this *after* serving when the planner
+    /// is on. [`mprec_serving::replay::replay_cluster`] over this spec
+    /// and the same trace reproduces the serve's decision trail.
+    pub fn replay_spec(&self) -> ClusterReplaySpec {
         let adaptive = self.adaptive.lock();
-        let spec_of = |e: &ClusterEpoch| mprec_serving::replay::ClusterEpochSpec {
-            mappings: e.mappings.clone(),
-            targets: e
-                .assignments
-                .iter()
-                .map(|a| a.iter().map(|&(id, _)| id).collect())
-                .collect(),
-            live: e.live.clone(),
-            hedge_next: e.hedge_next.clone(),
-        };
-        mprec_serving::replay::ClusterReplaySpec {
+        let overlay_events = adaptive.iter().map(|e| ClusterChurnSpec {
+            at_us: e.start_us,
+            failed: None,
+        });
+        ClusterReplaySpec {
             epochs: self
                 .epochs
                 .iter()
-                .chain(adaptive.epochs.iter())
-                .map(spec_of)
+                .chain(adaptive.iter())
+                .map(|e| e.spec.clone())
                 .collect(),
-            events: self
-                .events
-                .iter()
-                .map(|ev| mprec_serving::replay::ClusterChurnSpec {
-                    at_us: ev.at_us,
-                    failed: match ev.action {
-                        RebalanceAction::Fail(node) => Some(node),
-                        _ => None,
-                    },
-                })
-                .chain(
-                    adaptive
-                        .at_us
-                        .iter()
-                        .map(|&at_us| mprec_serving::replay::ClusterChurnSpec {
-                            at_us,
-                            failed: None,
-                        }),
-                )
-                .collect(),
+            events: self.events.iter().copied().chain(overlay_events).collect(),
             faults: self.cfg.faults.clone(),
             chaos: self.cfg.chaos,
-            degrade_rank: self.paths.iter().map(|&p| degrade_rank(p)).collect(),
         }
     }
 
@@ -1301,7 +1178,22 @@ impl Cluster {
             std::thread::spawn(move || merger_loop(&merge, &model, &progress, sla_us, report))
         };
 
-        let tally = self.dispatch(&trace, &node_queues, &progress, start);
+        let subs = self.cfg.histogram_subs;
+        let mut exec = Threaded {
+            cluster: self,
+            node_queues: &node_queues,
+            progress: &progress,
+            start,
+            dispatched: 0,
+            dyn_epochs: Vec::new(),
+            chunk_flips: 0,
+            epoch_snapshots: Vec::new(),
+            epoch_metrics: Vec::new(),
+            slack: LatencyHistogram::with_subs_per_octave(subs),
+            virtual_histogram: LatencyHistogram::with_subs_per_octave(subs),
+            tenant_vhist: vec![LatencyHistogram::default(); self.cfg.tenants.tenant_count()],
+        };
+        let tally = self.dispatch(&trace, &mut exec);
         for q in &node_queues {
             q.close();
         }
@@ -1342,7 +1234,7 @@ impl Cluster {
                 "cluster run aborted at an epoch barrier".into(),
             ));
         }
-        Ok(self.assemble(tally, merged, node_batches, worker_rings, start))
+        Ok(self.assemble(tally, exec, merged, node_batches, worker_rings, start))
     }
 
     /// Ships `feats`' warm cache entries — dynamic *and* disk tier —
@@ -1400,126 +1292,46 @@ impl Cluster {
         self.nodes.iter().map(|n| n.model.cache().stats()).collect()
     }
 
-    /// Front-end loop: virtual-time batching + routing + pruned
-    /// scatter, walking the churn schedule as flush times pass events.
-    ///
-    /// Queries batch *per tenant* (a tenant never shares a micro-batch
-    /// with another tenant's SLA class). Tenants whose batch deadline
-    /// passes are flushed in (deadline, tenant) order before the next
-    /// arrival, so the interleaving is a pure function of the trace —
-    /// the replay twins reproduce it decision-for-decision. A legacy
-    /// trace (every id tenant 0) collapses to the historical
-    /// single-pending behaviour bit for bit.
-    fn dispatch(
-        &self,
-        trace: &[Query],
-        node_queues: &[Arc<BoundedQueue<ScatterJob>>],
-        progress: &Progress,
-        start: Instant,
-    ) -> DispatchTally {
-        let mut fe = FrontEnd::new(self, trace, node_queues, progress, start);
-        let pace = self.cfg.pace_ingress;
-        let budget = self.cfg.max_batch_samples as u64;
-        for q in trace {
-            let arrival_us = q.arrival_us as f64;
-            // Deadline-triggered flushes strictly before this arrival,
-            // across all tenants, in (deadline, tenant) order — each
-            // flush walks the churn schedule up to its own instant.
-            while let Some((deadline, t)) = fe.earliest_deadline() {
-                if arrival_us <= deadline {
-                    break;
-                }
-                if pace {
-                    sleep_until(start, deadline);
-                }
-                fe.flush(t, deadline);
-            }
-            if pace {
-                sleep_until(start, arrival_us);
-            }
-            let t = scenario::tenant_of(q.id) as usize;
-            // Size-triggered flush: don't blow the batch budget by adding.
-            if !fe.pending[t].is_empty() && fe.pending_samples[t] + q.size as u64 > budget {
-                fe.flush(t, arrival_us);
-            }
-            fe.pending[t].push(q);
-            fe.pending_samples[t] += q.size as u64;
-            fe.tally
-                .trace(|| TraceEvent::enqueue(arrival_us, q.id, q.size as u64));
-            if fe.pending_samples[t] >= budget {
-                fe.flush(t, arrival_us);
-            }
-        }
-        // Final flushes, earliest deadline first.
-        while let Some((deadline, t)) = fe.earliest_deadline() {
-            if pace {
-                sleep_until(start, deadline);
-            }
-            fe.flush(t, deadline);
-        }
-        // Process any trailing events so every epoch gets its boundary
-        // snapshot even when the schedule outlives the trace.
-        fe.advance_epochs(f64::INFINITY);
+    /// The front-end: the sans-IO dispatcher core over this cluster's
+    /// epochs and events, driven by the threaded executor. Everything
+    /// virtual — batching, routing, ledgers, accounting, the dispatcher
+    /// trace track — happens in [`mprec_serving::dispatch`]; `exec`
+    /// paces, quiesces, ships cache state and scatters.
+    fn dispatch(&self, trace: &[Query], exec: &mut Threaded<'_>) -> DispatchTally {
+        let cfg = &self.cfg;
+        let rb = cfg.rebalance;
+        let node_ids = self.node_ids();
+        let batching = ReplayConfig {
+            sla_us: cfg.sla_us,
+            max_batch_samples: cfg.max_batch_samples,
+            max_batch_wait_us: cfg.max_batch_wait_us,
+            classes: cfg.tenants.tenants.iter().map(|t| t.sla).collect(),
+        };
+        let spec = DispatchSpec {
+            epochs: self.epochs.iter().map(|e| &e.spec).collect(),
+            events: &self.events,
+            faults: &cfg.faults,
+            chaos: cfg.chaos,
+            node_ids: &node_ids,
+            batching: &batching,
+            adaptive: rb.adaptive.then_some(AdaptiveTrigger {
+                threshold_us: rb.adaptive_threshold_us,
+                cooldown_us: rb.adaptive_cooldown_us,
+                max_moves: rb.adaptive_max_moves,
+            }),
+            recorder: cfg.recorder,
+        };
+        let tally = dispatch(spec, trace, exec);
         // Publish the planner's overlay epochs so `replay_spec` and
         // `assemble` see the merged schedule this serve actually ran.
-        *self.adaptive.lock() = AdaptiveState {
-            epochs: fe.dyn_epochs,
-            at_us: fe.dyn_event_at,
-        };
-        fe.tally
-    }
-
-    /// Closes the newest snapshotted epoch's metric window at
-    /// `boundary_us`: folds its cache-tier deltas into the counters,
-    /// freezes the point-in-time gauges (virtual queue depth, FLOPs
-    /// occupancy, SLA-slack percentiles), pushes one registry snapshot,
-    /// and resets the per-epoch accumulators. Called with the live
-    /// `free_at` backlog at churn barriers and with an empty slice at
-    /// end-of-serve (where the backlog is drained by definition).
-    fn close_epoch_metrics(
-        &self,
-        tally: &mut DispatchTally,
-        free_at: &[f64],
-        boundary_us: f64,
-        dyn_epochs: &[ClusterEpoch],
-    ) {
-        let closing = tally.epoch_snapshots.len() - 1;
-        let span = (boundary_us - self.epoch_at(dyn_epochs, closing).start_us).max(1.0);
-        let zeros: Vec<CacheStats> = Vec::new();
-        let prev = if closing == 0 {
-            &zeros
-        } else {
-            &tally.epoch_snapshots[closing - 1]
-        };
-        for (slot, now) in tally.epoch_snapshots[closing].iter().enumerate() {
-            let before = prev.get(slot).copied().unwrap_or_default();
-            let d = stats_delta(now, &before);
-            tally.registry.add(MetricId::StaticTierHits, slot, d.encoder_hits);
-            tally.registry.add(MetricId::DynamicTierHits, slot, d.dynamic_hits);
-            tally.registry.add(MetricId::DiskTierHits, slot, d.disk_hits);
-            tally.registry.add(MetricId::TierMisses, slot, d.encoder_misses);
-            let backlog = free_at.get(slot).map_or(0.0, |&f| (f - boundary_us).max(0.0));
-            tally.registry.set(MetricId::QueueDepthUs, slot, backlog as u64);
-            let permille = (tally.busy_us[slot].min(span) * 1000.0 / span) as u64;
-            tally.registry.set(MetricId::FlopsOccupancyPermille, slot, permille);
-        }
-        let slack = tally.slack.summary();
-        tally.registry.set(MetricId::SlaSlackP50Us, 0, slack.p50_us as u64);
-        tally.registry.set(MetricId::SlaSlackP95Us, 0, slack.p95_us as u64);
-        tally.registry.set(MetricId::SlaSlackP99Us, 0, slack.p99_us as u64);
-        if let Some(ring) = tally.ring.as_ref() {
-            tally.registry.set(MetricId::DroppedTraceEvents, 0, ring.dropped_events());
-        }
-        tally.epoch_metrics.push(tally.registry.snapshot());
-        for b in &mut tally.busy_us {
-            *b = 0.0;
-        }
-        tally.slack = LatencyHistogram::with_subs_per_octave(self.cfg.histogram_subs);
+        *self.adaptive.lock() = std::mem::take(&mut exec.dyn_epochs);
+        tally
     }
 
     fn assemble(
         &self,
         mut tally: DispatchTally,
+        mut exec: Threaded<'_>,
         mut merged: MergerReport,
         per_node_batches: Vec<u64>,
         worker_rings: Vec<(String, EventRing)>,
@@ -1529,7 +1341,7 @@ impl Cluster {
         // the final epoch snapshot covers every track, not just the
         // dispatcher's.
         let trace = self.cfg.recorder.enabled.then(|| {
-            let mut rec = TraceRecording::new(self.labels.clone());
+            let mut rec = TraceRecording::new(tally.labels.clone());
             if let Some(ring) = tally.ring.take() {
                 rec.push_ring("dispatcher", ring);
             }
@@ -1551,25 +1363,26 @@ impl Cluster {
         // space merges the static schedule with any overlay epochs the
         // adaptive planner opened during this serve.
         let adaptive = self.adaptive.lock();
-        tally.epoch_snapshots.push(per_node_cache.clone());
-        let end_us = tally.last_done_us;
-        self.close_epoch_metrics(&mut tally, &[], end_us, &adaptive.epochs);
-        let total_epochs = self.epochs.len() + adaptive.epochs.len();
+        let total_epochs = self.epochs.len() + adaptive.len();
+        exec.epoch_snapshots.push(per_node_cache.clone());
+        // The backlog is drained by definition at end-of-serve.
+        let final_start_us = self.epoch_at(&adaptive, total_epochs - 1).start_us;
+        exec.close_epoch_metrics(final_start_us, tally.last_done_us, &[], &mut tally);
         let mut epochs = Vec::with_capacity(total_epochs);
         let mut prev: Vec<CacheStats> = self.nodes.iter().map(|_| CacheStats::default()).collect();
-        for (e, snapshot) in tally.epoch_snapshots.iter().enumerate() {
+        for (e, snapshot) in exec.epoch_snapshots.iter().enumerate() {
             let deltas = snapshot
                 .iter()
                 .zip(prev.iter())
                 .map(|(now, before)| stats_delta(now, before))
                 .collect();
-            let ep = self.epoch_at(&adaptive.epochs, e);
+            let ep = self.epoch_at(&adaptive, e);
             epochs.push(EpochReport {
                 start_us: ep.start_us,
                 live: ep.live.clone(),
                 batches: tally.epoch_batches[e],
                 per_node_cache: deltas,
-                metrics: tally.epoch_metrics.get(e).cloned().unwrap_or_default(),
+                metrics: exec.epoch_metrics.get(e).cloned().unwrap_or_default(),
             });
             prev = snapshot.clone();
         }
@@ -1577,21 +1390,23 @@ impl Cluster {
             .iter()
             .fold(CacheStats::default(), |acc, s| acc.merged(s));
         let tenants = tally
-            .per_tenant
-            .drain(..)
+            .tenants
+            .iter()
+            .zip(exec.tenant_vhist)
             .enumerate()
-            .map(|(t, tt)| TenantReport {
+            .map(|(t, (row, virtual_histogram))| TenantReport {
                 tenant: t as u32,
                 sla_us: self.cfg.tenants.class_of(t as u32, self.cfg.sla_us).sla_us,
-                completed: tt.completed,
-                samples: tt.samples,
-                shed_queries: tt.shed,
-                virtual_sla_violations: tt.violations,
-                latency_sum_us: tt.latency_sum_us,
-                virtual_histogram: tt.vhist,
+                completed: row.completed,
+                samples: row.samples,
+                shed_queries: row.shed_queries,
+                virtual_sla_violations: row.sla_violations,
+                latency_sum_us: row.latency_sum_us,
+                virtual_histogram,
             })
             .collect();
-        let final_plan = &self.epoch_at(&adaptive.epochs, total_epochs - 1).plan;
+        let final_plan = &self.epoch_at(&adaptive, total_epochs - 1).plan;
+        let virtual_sla_violations = tally.registry.total(MetricId::SlaViolations);
         let outcome = ServingOutcome {
             policy: format!(
                 "cluster:{}@{}n/{}w",
@@ -1601,7 +1416,7 @@ impl Cluster {
             samples: merged.samples,
             correct_samples: tally.correct_samples,
             span_s: merged.last_done.duration_since(start).as_secs_f64(),
-            sla_violations: tally.virtual_violations,
+            sla_violations: virtual_sla_violations,
             mean_latency_us: merged.histogram.mean_us(),
             p95_latency_us: merged.histogram.quantile_us(0.95),
             p99_latency_us: merged.histogram.quantile_us(0.99),
@@ -1619,19 +1434,19 @@ impl Cluster {
                 .collect(),
             per_node_batches,
             histogram: merged.histogram,
-            virtual_histogram: tally.virtual_histogram,
-            virtual_sla_violations: tally.virtual_violations,
+            virtual_histogram: exec.virtual_histogram,
+            virtual_sla_violations,
             measured_sla_violations: merged.measured_violations,
-            routed_queries: tally.routed,
-            path_decisions: tally.decisions,
+            routed_queries: tally.tenants.iter().map(|t| t.completed).sum(),
+            path_decisions: tally.decisions.iter().map(|&idx| self.paths[idx]).collect(),
             retried_batches: tally.retried_batches,
             retried_queries: tally.retried_queries,
-            shed_queries: tally.shed_queries,
-            leg_timeouts: tally.leg_timeouts,
-            hedged_legs: tally.hedged_legs,
-            leg_retries: tally.leg_retries,
-            migration_steps: tally.migration_steps,
-            adaptive_replans: tally.adaptive_replans,
+            shed_queries: tally.registry.total(MetricId::ShedQueries),
+            leg_timeouts: tally.registry.total(MetricId::LegTimeouts),
+            hedged_legs: tally.registry.total(MetricId::HedgedLegs),
+            leg_retries: tally.registry.total(MetricId::LegRetries),
+            migration_steps: exec.chunk_flips + adaptive.len() as u64,
+            adaptive_replans: adaptive.len() as u64,
             tenants,
             epochs,
             checksum: merged.checksum,
@@ -1641,688 +1456,207 @@ impl Cluster {
     }
 }
 
-/// One batch's trip through the flush stages: routing fills the fields
-/// up to `start_us`; leg resolution and the failure-retry scan settle
-/// the rest.
-#[derive(Debug, Clone, Copy)]
-struct Flight {
-    /// Dispatch-order batch id, routed epoch, routed mapping index.
-    batch: u64,
-    epoch: usize,
-    idx: usize,
-    samples: u64,
-    /// Scored execution cost of the routed path and the virtual start
-    /// of its first attempt (`>=` the flush instant), in µs.
-    exec_us: f64,
-    start_us: f64,
-    /// Virtual completion and the execution cost of the final attempt,
-    /// after leg resolution and any failure retry.
-    done_us: f64,
-    final_exec_us: f64,
-    /// Epoch whose pruned assignment really executes the batch; later
-    /// than `epoch` exactly when a node failure restarted it.
-    exec_epoch: usize,
-}
-
-/// The front-end's state for one serve: everything the dispatch loop
-/// reads and mutates between flushes. All of it is virtual-time state
-/// except the node queues, the progress ledger, and `start` (wall-clock
-/// pacing and measured-latency anchors).
-struct FrontEnd<'a> {
+/// The threaded executor: the dispatcher core's four IO points over
+/// this cluster's node queues, progress ledger and wall clock, plus the
+/// telemetry only a real serve has (histograms, cache snapshots, metric
+/// windows).
+struct Threaded<'a> {
     cluster: &'a Cluster,
     node_queues: &'a [Arc<BoundedQueue<ScatterJob>>],
     progress: &'a Progress,
     start: Instant,
-    tally: DispatchTally,
-    /// Per-replica virtual ledger: when each node's queue drains.
-    free_at: Vec<f64>,
-    /// Current merged epoch index (static schedule, then overlays).
-    cur_epoch: usize,
     /// Batches scattered so far (the quiescence barrier's target).
     dispatched: u64,
     /// Overlay epochs the adaptive planner opened this serve, indexed
-    /// after the static schedule, and their trigger instants.
+    /// after the static schedule.
     dyn_epochs: Vec<ClusterEpoch>,
-    dyn_event_at: Vec<f64>,
-    last_adaptive_us: f64,
-    /// Per tenant: its SLA class and its pending micro-batch. Each
-    /// tenant batches on its own deadline axis.
-    classes: Vec<SlaClass>,
-    pending: Vec<Vec<&'a Query>>,
-    pending_samples: Vec<u64>,
-    /// Per mapping index: the path's SLA-class degrade rank.
-    degrade_ranks: Vec<u32>,
-    /// Per-candidate routing scratch, reused across flushes so routing
-    /// never allocates: scored completions (published in the
-    /// `RouteDecision` event), execution costs, and start times.
-    completions: Vec<f64>,
-    execs: Vec<f64>,
-    starts: Vec<f64>,
+    /// Streaming chunk flips executed.
+    chunk_flips: u64,
+    /// Per-replica cache snapshots taken at each processed epoch
+    /// boundary (quiescent), and one registry snapshot per closed
+    /// epoch, both in epoch order.
+    epoch_snapshots: Vec<Vec<CacheStats>>,
+    epoch_metrics: Vec<MetricsSnapshot>,
+    /// SLA-slack distribution of the current epoch (reset at each
+    /// barrier).
+    slack: LatencyHistogram,
+    /// Virtual latency per completed query: all tenants, and per
+    /// tenant (a served trace only carries configured tenants).
+    virtual_histogram: LatencyHistogram,
+    tenant_vhist: Vec<LatencyHistogram>,
 }
 
-impl<'a> FrontEnd<'a> {
-    fn new(
-        cluster: &'a Cluster,
-        trace: &[Query],
-        node_queues: &'a [Arc<BoundedQueue<ScatterJob>>],
-        progress: &'a Progress,
-        start: Instant,
-    ) -> Self {
-        let cfg = &cluster.cfg;
-        let slots = cluster.nodes.len();
-        let tenant_count = trace
-            .iter()
-            .map(|q| scenario::tenant_of(q.id) as usize + 1)
-            .max()
-            .unwrap_or(1)
-            .max(cfg.tenants.tenant_count());
-        let tally = DispatchTally {
-            usage: PathUsage::default(),
-            correct_samples: 0.0,
-            virtual_violations: 0,
-            routed: 0,
-            decisions: Vec::new(),
-            per_tenant: (0..tenant_count).map(|_| TenantTally::default()).collect(),
-            virtual_histogram: LatencyHistogram::with_subs_per_octave(cfg.histogram_subs),
-            retried_batches: 0,
-            retried_queries: 0,
-            shed_queries: 0,
-            leg_timeouts: 0,
-            hedged_legs: 0,
-            leg_retries: 0,
-            epoch_batches: vec![0; cluster.epochs.len()],
-            migration_steps: 0,
-            adaptive_replans: 0,
-            epoch_snapshots: Vec::new(),
-            aborted: false,
-            ring: cfg.recorder.ring(),
-            registry: MetricsRegistry::new(slots),
-            epoch_metrics: Vec::new(),
-            busy_us: vec![0.0; slots],
-            slack: LatencyHistogram::with_subs_per_octave(cfg.histogram_subs),
-            last_done_us: 0.0,
-        };
-        FrontEnd {
-            cluster,
-            node_queues,
-            progress,
-            start,
-            tally,
-            free_at: vec![0.0; slots],
-            cur_epoch: 0,
-            dispatched: 0,
-            dyn_epochs: Vec::new(),
-            dyn_event_at: Vec::new(),
-            last_adaptive_us: f64::NEG_INFINITY,
-            classes: (0..tenant_count)
-                .map(|t| cfg.tenants.class_of(t as u32, cfg.sla_us))
-                .collect(),
-            pending: vec![Vec::new(); tenant_count],
-            pending_samples: vec![0; tenant_count],
-            degrade_ranks: cluster.paths.iter().map(|&p| degrade_rank(p)).collect(),
-            completions: Vec::new(),
-            execs: Vec::new(),
-            starts: Vec::new(),
-        }
-    }
-
-    /// Earliest batch deadline among tenants with pending queries
-    /// (ties keep the lowest tenant index — the scan is ascending).
-    fn earliest_deadline(&self) -> Option<(f64, usize)> {
-        let mut due: Option<(f64, usize)> = None;
-        for (t, p) in self.pending.iter().enumerate() {
-            if let Some(first) = p.first() {
-                let d = first.arrival_us as f64 + self.cluster.cfg.max_batch_wait_us;
-                if due.is_none_or(|(bd, _)| d < bd) {
-                    due = Some((d, t));
-                }
-            }
-        }
-        due
-    }
-
-    /// Walks the rebalance schedule up to virtual time `t`, one
-    /// quiescence barrier per step.
-    fn advance_epochs(&mut self, t: f64) {
-        let cluster = self.cluster;
-        while self.cur_epoch < cluster.events.len()
-            && cluster.events[self.cur_epoch].at_us <= t
-            && !self.tally.aborted
-        {
-            // Wall-clock quiescence (zero virtual cost): every
-            // dispatched batch is merged before the snapshot,
-            // shipping, and teardown, so per-epoch cache deltas
-            // are exact and a failed node's queue is provably
-            // drained. A streaming step differs from the legacy
-            // barrier in *virtual* time only: it flips one
-            // chunk of ownership instead of the whole plan, so
-            // routing never pays a stop-the-world profile shock.
-            if !self.progress.wait_for_batches(self.dispatched) {
-                self.tally.aborted = true;
-                break;
-            }
-            self.tally.epoch_snapshots.push(cluster.cache_snapshot());
-            let at_us = cluster.events[self.cur_epoch].at_us;
-            let new_epoch = (self.cur_epoch + 1) as u64;
-            match &cluster.events[self.cur_epoch].action {
-                RebalanceAction::Fail(node) => {
-                    self.tally
-                        .trace(|| TraceEvent::epoch_barrier(at_us, *node, new_epoch, false));
-                    self.node_queues[cluster.slot_of(*node)].close();
-                }
-                RebalanceAction::Join(node) => {
-                    self.tally
-                        .trace(|| TraceEvent::epoch_barrier(at_us, *node, new_epoch, true));
-                    // Warm-start: every feature the new plan assigns
-                    // the joiner moved off some old owner, so ship it
-                    // their warm cache entries instead of rewarming
-                    // from traffic — first lookups then hit its disk
-                    // tier (charged `disk_hit_us` via the epoch
-                    // profiles) and promote into RAM. Safe here: the
-                    // quiescence means no worker is touching any cache.
-                    let entries = cluster.ship_features(
-                        *node,
-                        &cluster.epochs[self.cur_epoch].plan,
-                        cluster.epochs[self.cur_epoch + 1].plan.features_of(*node),
-                    );
-                    self.tally
-                        .trace(|| TraceEvent::warm_start(at_us, *node, entries, new_epoch));
-                }
-                RebalanceAction::WindowOpen { node, moves } => {
-                    self.tally
-                        .trace(|| TraceEvent::migration_start(at_us, *node, *moves, new_epoch));
-                }
-                RebalanceAction::ChunkFlip { node, feats } => {
-                    // Dual-write realization: everything the old
-                    // owners hold for this chunk — including
-                    // entries admitted *during* the window, which
-                    // went to the old owners because reads did —
-                    // ships right before the flip.
-                    let entries =
-                        cluster.ship_features(*node, &cluster.epochs[self.cur_epoch].plan, feats);
-                    self.tally.migration_steps += 1;
-                    self.tally.trace(|| {
-                        TraceEvent::migration_done(
-                            at_us,
-                            *node,
-                            entries,
-                            new_epoch,
-                            feats.len() as u64,
-                        )
-                    });
-                }
-                // The lift only swaps penalized routing profiles
-                // for clean ones; no cache or queue side effects.
-                RebalanceAction::PenaltyLift => {}
-            }
-            // Close the departing epoch's metric window at the
-            // event timestamp (quiescent, so the just-pushed
-            // cache snapshot is exact).
-            cluster.close_epoch_metrics(&mut self.tally, &self.free_at, at_us, &self.dyn_epochs);
-            self.cur_epoch += 1;
-        }
-    }
-
-    /// Flushes `tenant`'s pending micro-batch at virtual time
-    /// `flush_at_us`, first walking the rebalance schedule up to that
-    /// instant. Callers only flush tenants with pending queries.
-    fn flush(&mut self, tenant: usize, flush_at_us: f64) {
-        self.advance_epochs(flush_at_us);
-        let mut pending = std::mem::take(&mut self.pending[tenant]);
-        let samples = std::mem::take(&mut self.pending_samples[tenant]);
-        self.flush_batch(tenant, flush_at_us, &mut pending, samples);
-        // Hand the (emptied) buffer back so its capacity is reused.
-        pending.clear();
-        self.pending[tenant] = pending;
-    }
-
-    /// One flush, stage by stage: adaptive re-plan, class/brownout
-    /// shed, route, leg resolution, failure retry, then per-query
-    /// accounting and the real scatter.
-    fn flush_batch(
+impl Threaded<'_> {
+    /// Closes the newest snapshotted epoch's metric window, `start_us`
+    /// to `at_us`: folds its cache-tier deltas into the counters,
+    /// freezes the point-in-time gauges (virtual queue depth from
+    /// `free_at`, FLOPs occupancy, SLA-slack percentiles), pushes one
+    /// registry snapshot, and resets the per-epoch accumulators.
+    fn close_epoch_metrics(
         &mut self,
-        tenant: usize,
-        flush_at_us: f64,
-        pending: &mut Vec<&Query>,
-        mut samples: u64,
+        start_us: f64,
+        at_us: f64,
+        free_at: &[f64],
+        tally: &mut DispatchTally,
     ) {
-        if self.tally.aborted || self.progress.failed() || !self.replan(flush_at_us) {
-            self.tally.aborted = true;
-            return;
+        let registry = &tally.registry;
+        let closing = self.epoch_snapshots.len() - 1;
+        let span = (at_us - start_us).max(1.0);
+        let zeros: Vec<CacheStats> = Vec::new();
+        let prev = if closing == 0 {
+            &zeros
+        } else {
+            &self.epoch_snapshots[closing - 1]
+        };
+        for (slot, now) in self.epoch_snapshots[closing].iter().enumerate() {
+            let before = prev.get(slot).copied().unwrap_or_default();
+            let d = stats_delta(now, &before);
+            registry.add(MetricId::StaticTierHits, slot, d.encoder_hits);
+            registry.add(MetricId::DynamicTierHits, slot, d.dynamic_hits);
+            registry.add(MetricId::DiskTierHits, slot, d.disk_hits);
+            registry.add(MetricId::TierMisses, slot, d.encoder_misses);
+            let backlog = free_at.get(slot).map_or(0.0, |&f| (f - at_us).max(0.0));
+            registry.set(MetricId::QueueDepthUs, slot, backlog as u64);
+            let permille = (tally.busy_us[slot].min(span) * 1000.0 / span) as u64;
+            registry.set(MetricId::FlopsOccupancyPermille, slot, permille);
         }
-        let cluster = self.cluster;
-        // Brownout gauge: the worst live-node virtual backlog at the
-        // flush instant — the same value both twins derive from
-        // their own `free_at` ledgers.
-        let backlog_us = cluster
-            .epoch_at(&self.dyn_epochs, self.cur_epoch)
-            .live
-            .iter()
-            .map(|&id| (self.free_at[cluster.slot_of(id)] - flush_at_us).max(0.0))
-            .fold(0.0f64, f64::max);
-        self.shed(tenant, flush_at_us, backlog_us, pending, &mut samples);
-        if pending.is_empty() {
-            return;
+        let slack = self.slack.summary();
+        registry.set(MetricId::SlaSlackP50Us, 0, slack.p50_us as u64);
+        registry.set(MetricId::SlaSlackP95Us, 0, slack.p95_us as u64);
+        registry.set(MetricId::SlaSlackP99Us, 0, slack.p99_us as u64);
+        if let Some(ring) = tally.ring.as_ref() {
+            registry.set(MetricId::DroppedTraceEvents, 0, ring.dropped_events());
         }
-        let oldest_us = pending[0].arrival_us as f64;
-        let sla_remaining = (self.classes[tenant].sla_us - (flush_at_us - oldest_us)).max(1.0);
-        let mut flight = self.route(tenant, samples, sla_remaining, flush_at_us, backlog_us);
-        if let Some(ring) = self.tally.ring.as_mut() {
-            ring.record(TraceEvent::batch_formed(
-                flush_at_us,
-                flight.batch,
-                pending.len() as u64,
-                samples,
-                oldest_us,
-            ));
-            ring.record(TraceEvent::route_decision(
-                flush_at_us,
-                flight.batch,
-                samples,
-                flight.epoch as u64,
-                sla_remaining,
-                flight.idx as i32,
-                &self.completions,
-            ));
-            let ep = cluster.epoch_at(&self.dyn_epochs, flight.epoch);
-            for &(id, _) in &ep.assignments[flight.idx] {
-                ring.record(TraceEvent::scatter(
-                    flush_at_us,
-                    flight.batch,
-                    id,
-                    flight.epoch as u64,
-                ));
-            }
-        }
-        self.resolve_legs(&mut flight, flush_at_us);
-        self.retry_failures(&mut flight);
-        self.account_and_scatter(tenant, &flight, pending);
+        self.epoch_metrics.push(registry.snapshot());
+        tally.busy_us.fill(0.0);
+        self.slack = LatencyHistogram::with_subs_per_octave(self.cluster.cfg.histogram_subs);
     }
 
-    /// Adaptive re-planning: once the static schedule is exhausted,
-    /// watch the live nodes' virtual backlog at every flush. A
-    /// sustained imbalance (hot-key drift parks the hot features' owner
-    /// at the back of every queue) triggers a partial migration: ship
-    /// the busiest node's lowest-id owned features to the idlest live
-    /// node and open an overlay epoch at the flush instant. The trigger
-    /// reads only virtual state (`free_at`, flush time), so it is
-    /// deterministic, and the triggering flush itself routes under the
-    /// new epoch — exactly when the replay twin switches, since the
-    /// spec event carries this timestamp.
-    ///
-    /// Returns `false` if the run failed while quiescing.
-    fn replan(&mut self, flush_at_us: f64) -> bool {
-        let cluster = self.cluster;
-        let rb = &cluster.cfg.rebalance;
-        if !rb.adaptive
-            || self.cur_epoch < cluster.events.len()
-            || flush_at_us - self.last_adaptive_us < rb.adaptive_cooldown_us
-        {
-            return true;
-        }
-        let cur = cluster.epoch_at(&self.dyn_epochs, self.cur_epoch);
-        let free_at = &self.free_at;
-        let backlog = |id: u32| (free_at[cluster.slot_of(id)] - flush_at_us).max(0.0);
-        let mut busiest = cur.live[0];
-        let mut idlest = cur.live[0];
-        for &id in cur.live.iter().skip(1) {
-            if backlog(id) > backlog(busiest) {
-                busiest = id;
-            }
-            if backlog(id) < backlog(idlest) {
-                idlest = id;
-            }
-        }
-        let imbalance = backlog(busiest) - backlog(idlest);
-        let moved: Vec<usize> = cur
-            .plan
-            .features_of(busiest)
-            .iter()
-            .copied()
-            .take(rb.adaptive_max_moves.max(1))
-            .collect();
-        let fire = busiest != idlest && imbalance >= rb.adaptive_threshold_us && !moved.is_empty();
-        if !fire {
-            return true;
-        }
-        let old_plan = cur.plan.clone();
-        // Quiesce (wall-clock only — zero virtual cost) so the
-        // boundary snapshot and the shipped segments are exact.
+    /// Wall-clock quiescence (zero virtual cost): every scattered batch
+    /// is merged before the boundary's cache snapshot, so per-epoch
+    /// cache deltas and shipped segments are exact and a failed node's
+    /// queue is provably drained. `false` if the run failed first.
+    fn quiesce_and_snapshot(&mut self) -> bool {
         if !self.progress.wait_for_batches(self.dispatched) {
             return false;
         }
-        self.tally.epoch_snapshots.push(cluster.cache_snapshot());
-        let entries = cluster.ship_features(idlest, &old_plan, &moved);
-        let mut plan = old_plan;
-        plan.reassign(&moved, idlest);
-        let epoch = build_epoch(
-            &cluster.cfg,
-            &cluster.nodes,
-            flush_at_us,
-            &cluster.ring,
-            &plan,
-            None,
-        )
-        .expect("overlay epoch shares the boot epoch's validated shape");
-        let new_epoch = (self.cur_epoch + 1) as u64;
-        let moves = moved.len() as u64;
-        self.tally
-            .trace(|| TraceEvent::migration_start(flush_at_us, idlest, moves, new_epoch));
-        self.tally
-            .trace(|| TraceEvent::migration_done(flush_at_us, idlest, entries, new_epoch, moves));
-        cluster.close_epoch_metrics(
-            &mut self.tally,
-            &self.free_at,
-            flush_at_us,
-            &self.dyn_epochs,
-        );
-        self.dyn_epochs.push(epoch);
-        self.dyn_event_at.push(flush_at_us);
-        self.tally.epoch_batches.push(0);
-        self.tally.migration_steps += 1;
-        self.tally.adaptive_replans += 1;
-        self.last_adaptive_us = flush_at_us;
-        self.cur_epoch += 1;
+        self.epoch_snapshots.push(self.cluster.cache_snapshot());
+        true
+    }
+}
+
+impl Executor for Threaded<'_> {
+    fn pace(&mut self, t_us: f64) {
+        if self.cluster.cfg.pace_ingress {
+            sleep_until(self.start, t_us);
+        }
+    }
+
+    /// One rebalance step. A streaming step differs from the legacy
+    /// barrier in *virtual* time only: it flips one chunk of ownership
+    /// instead of the whole plan, so routing never pays a
+    /// stop-the-world profile shock.
+    fn barrier(
+        &mut self,
+        event: usize,
+        at_us: f64,
+        free_at: &[f64],
+        tally: &mut DispatchTally,
+    ) -> bool {
+        let cluster = self.cluster;
+        if !self.quiesce_and_snapshot() {
+            return false;
+        }
+        let new_epoch = (event + 1) as u64;
+        let old_plan = &cluster.epochs[event].plan;
+        match &cluster.actions[event] {
+            RebalanceAction::Fail(node) => {
+                tally.trace(|| TraceEvent::epoch_barrier(at_us, *node, new_epoch, false));
+                self.node_queues[cluster.slot_of(*node)].close();
+            }
+            RebalanceAction::Join(node) => {
+                tally.trace(|| TraceEvent::epoch_barrier(at_us, *node, new_epoch, true));
+                // Warm-start: every feature the new plan assigns the
+                // joiner moved off some old owner, so ship it their
+                // warm cache entries instead of rewarming from traffic
+                // — first lookups then hit its disk tier (charged
+                // `disk_hit_us` via the epoch profiles) and promote
+                // into RAM.
+                let feats = cluster.epochs[event + 1].plan.features_of(*node);
+                let entries = cluster.ship_features(*node, old_plan, feats);
+                tally.trace(|| TraceEvent::warm_start(at_us, *node, entries, new_epoch));
+            }
+            RebalanceAction::WindowOpen { node, moves } => {
+                tally.trace(|| TraceEvent::migration_start(at_us, *node, *moves, new_epoch));
+            }
+            RebalanceAction::ChunkFlip { node, feats } => {
+                // Dual-write realization: everything the old owners
+                // hold for this chunk — including entries admitted
+                // *during* the window, which went to the old owners
+                // because reads did — ships right before the flip.
+                let entries = cluster.ship_features(*node, old_plan, feats);
+                self.chunk_flips += 1;
+                let flipped = feats.len() as u64;
+                tally.trace(|| {
+                    TraceEvent::migration_done(at_us, *node, entries, new_epoch, flipped)
+                });
+            }
+            // The lift only swaps penalized routing profiles for clean
+            // ones; no cache or queue side effects.
+            RebalanceAction::PenaltyLift => {}
+        }
+        self.close_epoch_metrics(cluster.epochs[event].start_us, at_us, free_at, tally);
         true
     }
 
-    /// Pre-routing sheds, each query with an explicit `Shed` outcome —
-    /// never a silent drop. Class shed: past the tenant's last rung the
-    /// loose tenant's whole batch is shed instead of queueing, while
-    /// strict tenants keep routing through the same overload. Brownout
-    /// shed (the chaos ladder's last rung): low-priority queries go by
-    /// the sequence-modulus policy. Leaves the survivors in `pending`
-    /// and their sample total in `samples`.
-    fn shed(
+    /// A partial migration off the most backlogged node: ship `moved`'s
+    /// warm entries to `idlest` and open an overlay epoch at the flush
+    /// instant that triggered it.
+    fn build_overlay(
         &mut self,
-        tenant: usize,
-        flush_at_us: f64,
-        backlog_us: f64,
-        pending: &mut Vec<&Query>,
-        samples: &mut u64,
-    ) {
-        let chaos = self.cluster.cfg.chaos;
-        let class_shed = self.classes[tenant].sheds(backlog_us);
-        let brownout_shed = chaos.brownout && backlog_us >= chaos.brownout_shed_us;
-        if !class_shed && !brownout_shed {
-            return;
-        }
-        pending.retain(|q| {
-            let shed = class_shed || chaos.sheds(backlog_us, scenario::sequence_of(q.id));
-            if shed {
-                *samples -= q.size as u64;
-                self.tally.shed_queries += 1;
-                self.tally.per_tenant[tenant].shed += 1;
-                self.tally.registry.add(MetricId::ShedQueries, 0, 1);
-                self.tally
-                    .trace(|| TraceEvent::shed(flush_at_us, q.id, q.size as u64, backlog_us));
-            }
-            !shed
-        });
-    }
-
-    /// Algorithm 2 in the current epoch: per path, expected execution
-    /// from the capacity-aware slowest-shard profile, plus the queueing
-    /// wait of its most-backlogged scatter target. When the brownout
-    /// controller's backlog gauge crosses a narrowing rung, degraded
-    /// candidates are masked to `+inf` *before* selection (see
-    /// [`ChaosConfig::brownout_mask`]); the flushing tenant's SLA-class
-    /// pressure ladder ([`class_pressure_mask`]) then narrows the same
-    /// cost vector on its own thresholds, so a loose class degrades to
-    /// cheaper paths while a strict class keeps the full candidate set.
-    /// Leaves every candidate's (post-mask) scored completion in
-    /// `self.completions` so the flight recorder can publish the
-    /// rejected costs alongside the chosen one.
-    fn route(
-        &mut self,
-        tenant: usize,
-        samples: u64,
-        sla_remaining_us: f64,
-        now_us: f64,
-        backlog_us: f64,
-    ) -> Flight {
+        idlest: u32,
+        moved: &[usize],
+        at_us: f64,
+        free_at: &[f64],
+        tally: &mut DispatchTally,
+    ) -> Option<ClusterEpochSpec> {
         let cluster = self.cluster;
-        let epoch = self.cur_epoch;
-        let ep = cluster.epoch_at(&self.dyn_epochs, epoch);
-        self.execs.clear();
-        self.starts.clear();
-        self.completions.clear();
-        for (mapping, assignment) in ep.mappings.mappings.iter().zip(&ep.assignments) {
-            let exec = mapping.profile.latency_us(samples);
-            let busiest = assignment
-                .iter()
-                .map(|&(id, _)| self.free_at[cluster.slot_of(id)])
-                .fold(f64::NEG_INFINITY, f64::max);
-            let start = busiest.max(now_us);
-            self.execs.push(exec);
-            self.starts.push(start);
-            self.completions.push((start - now_us) + exec);
+        if !self.quiesce_and_snapshot() {
+            return None;
         }
-        let browned_out =
-            cluster
-                .cfg
-                .chaos
-                .brownout_mask(&self.degrade_ranks, backlog_us, &mut self.completions);
-        if browned_out {
-            self.tally.registry.add(MetricId::BrownoutBatches, 0, 1);
-        }
-        let class = &self.classes[tenant];
-        class_pressure_mask(
-            &self.degrade_ranks,
-            backlog_us,
-            class.narrow_backlog_us,
-            class.table_only_backlog_us,
-            &mut self.completions,
-        );
-        let idx = select_mapping(&ep.mappings, &self.completions, sla_remaining_us, true)
-            .expect("mapping set is never empty");
-        Flight {
-            batch: self.tally.decisions.len() as u64,
-            epoch,
-            idx,
-            samples,
-            exec_us: self.execs[idx],
-            start_us: self.starts[idx],
-            done_us: self.starts[idx] + self.execs[idx],
-            final_exec_us: self.execs[idx],
-            exec_epoch: epoch,
-        }
+        let cur_epoch = cluster.epochs.len() + self.dyn_epochs.len() - 1;
+        let cur = cluster.epoch_at(&self.dyn_epochs, cur_epoch);
+        let entries = cluster.ship_features(idlest, &cur.plan, moved);
+        let mut plan = cur.plan.clone();
+        plan.reassign(moved, idlest);
+        let epoch = build_epoch(&cluster.cfg, &cluster.nodes, at_us, &cluster.ring, &plan, None)
+            .expect("overlay epoch shares the boot epoch's validated shape");
+        let (new_epoch, moves) = ((cur_epoch + 1) as u64, moved.len() as u64);
+        tally.trace(|| TraceEvent::migration_start(at_us, idlest, moves, new_epoch));
+        tally.trace(|| TraceEvent::migration_done(at_us, idlest, entries, new_epoch, moves));
+        let start_us = cur.start_us;
+        self.close_epoch_metrics(start_us, at_us, free_at, tally);
+        let spec = epoch.spec.clone();
+        self.dyn_epochs.push(epoch);
+        Some(spec)
     }
 
-    /// Charges the batch's scatter legs to the per-node virtual ledgers
-    /// and settles `flight.done_us`. Without chaos timeouts every leg
-    /// is one clean attempt; with them, every leg runs the timeout /
-    /// hedge / backoff-retry ladder against the fault plan. Every
-    /// attempt — lost, hedged, or timed out — is charged to its node's
-    /// virtual ledger, so failed work back-pressures routing exactly
-    /// like real work and the virtual histogram carries both legs.
-    fn resolve_legs(&mut self, flight: &mut Flight, flush_at_us: f64) {
-        let cluster = self.cluster;
-        let ep = cluster.epoch_at(&self.dyn_epochs, flight.epoch);
-        let tally = &mut self.tally;
-        let free_at = &mut self.free_at;
-        let (batch, exec, start_us) = (flight.batch, flight.exec_us, flight.start_us);
-        let chaos = cluster.cfg.chaos;
-        if !chaos.timeouts_enabled() {
-            for &(id, _) in &ep.assignments[flight.idx] {
-                let slot = cluster.slot_of(id);
-                free_at[slot] = free_at[slot].max(flush_at_us) + exec;
-                tally.registry.add(MetricId::BatchesDispatched, slot, 1);
-                tally.busy_us[slot] += exec;
-            }
-            return;
-        }
-        let faults = &cluster.cfg.faults;
-        let timeout = chaos.timeout_mult * exec;
-        let mut batch_done = f64::NEG_INFINITY;
-        for &(id, _) in &ep.assignments[flight.idx] {
-            let slot = cluster.slot_of(id);
-            tally.registry.add(MetricId::BatchesDispatched, slot, 1);
-            let mut a_start = start_us;
-            let mut attempt = 0u32;
-            let leg_done = loop {
-                let eff = exec * faults.straggler_multiplier(id, a_start);
-                let lost = faults.drops_leg(id, a_start, attempt);
-                free_at[slot] = free_at[slot].max(a_start) + eff;
-                tally.busy_us[slot] += eff;
-                let mut cand = if lost { f64::INFINITY } else { a_start + eff };
-                let deadline = a_start + timeout;
-                // Hedge once, on the first attempt: past the
-                // hedge fraction of the budget, re-issue to the
-                // node's ring successor; first result wins.
-                if attempt == 0 && chaos.hedging && cand > a_start + chaos.hedge_frac * timeout {
-                    let hedge_to = ep
-                        .hedge_next
-                        .iter()
-                        .find(|&&(n, _)| n == id)
-                        .map(|&(_, s)| s);
-                    if let Some(h) = hedge_to {
-                        let hslot = cluster.slot_of(h);
-                        let hedge_at = a_start + chaos.hedge_frac * timeout;
-                        let h_start = free_at[hslot].max(hedge_at);
-                        let h_eff = exec * faults.straggler_multiplier(h, h_start);
-                        // The hedge is attempt 1 on the target:
-                        // a ScatterLoss window (first attempts
-                        // only) cannot eat it, a Stall can.
-                        let h_lost = faults.drops_leg(h, h_start, 1);
-                        free_at[hslot] = free_at[hslot].max(h_start) + h_eff;
-                        tally.busy_us[hslot] += h_eff;
-                        tally.hedged_legs += 1;
-                        tally.registry.add(MetricId::HedgedLegs, hslot, 1);
-                        tally.trace(|| TraceEvent::hedge(hedge_at, batch, id, h));
-                        if !h_lost {
-                            cand = cand.min(h_start + h_eff);
-                        }
-                    }
-                }
-                if cand <= deadline {
-                    break cand;
-                }
-                tally.leg_timeouts += 1;
-                tally.registry.add(MetricId::LegTimeouts, slot, 1);
-                tally.trace(|| TraceEvent::timeout(deadline, batch, id, attempt, timeout));
-                if attempt >= chaos.max_retries {
-                    // Retries exhausted: force completion with
-                    // one more clean execution charged at the
-                    // deadline, so every batch still finishes
-                    // and the total stays invariant.
-                    free_at[slot] = free_at[slot].max(deadline) + exec;
-                    tally.busy_us[slot] += exec;
-                    break deadline + exec;
-                }
-                attempt += 1;
-                tally.leg_retries += 1;
-                tally.registry.add(MetricId::LegRetries, slot, 1);
-                a_start = deadline + chaos.backoff_base_us * (1u64 << (attempt - 1)) as f64;
-            };
-            batch_done = batch_done.max(leg_done);
-        }
-        flight.done_us = batch_done;
-    }
-
-    /// Failure retries: a fail event inside this batch's flight window
-    /// whose victim is one of its targets restarts the batch — at the
-    /// failure instant, under the post-failure plan — and the queries
-    /// carry both legs' latency. Only failures retry: streaming
-    /// sub-steps and adaptive re-plans keep every in-flight batch valid
-    /// (its epoch's owners still hold the features' warm state until
-    /// the flip, and the flip itself is preceded by shipping).
-    fn retry_failures(&mut self, flight: &mut Flight) {
-        let cluster = self.cluster;
-        let tally = &mut self.tally;
-        let free_at = &mut self.free_at;
-        let (batch, idx) = (flight.batch, flight.idx);
-        let mut scan = flight.epoch;
-        while scan < cluster.events.len() {
-            let ev_at = cluster.events[scan].at_us;
-            if ev_at >= flight.done_us {
-                break;
-            }
-            if let RebalanceAction::Fail(failed) = cluster.events[scan].action {
-                if cluster
-                    .epoch_at(&self.dyn_epochs, flight.exec_epoch)
-                    .assignments[idx]
-                    .iter()
-                    .any(|&(id, _)| id == failed)
-                {
-                    flight.exec_epoch = scan + 1;
-                    tally.retried_batches += 1;
-                    let epoch = flight.exec_epoch as u64;
-                    let retry_ep = cluster.epoch_at(&self.dyn_epochs, flight.exec_epoch);
-                    let retry_exec =
-                        retry_ep.mappings.mappings[idx].profile.latency_us(flight.samples);
-                    let retry_start = retry_ep.assignments[idx]
-                        .iter()
-                        .map(|&(id, _)| free_at[cluster.slot_of(id)])
-                        .fold(f64::NEG_INFINITY, f64::max)
-                        .max(ev_at);
-                    flight.done_us = retry_start + retry_exec;
-                    flight.final_exec_us = retry_exec;
-                    if let Some(ring) = tally.ring.as_mut() {
-                        ring.record(TraceEvent::retry(ev_at, batch, failed, epoch));
-                        for &(id, _) in &retry_ep.assignments[idx] {
-                            ring.record(TraceEvent::scatter(ev_at, batch, id, epoch));
-                        }
-                    }
-                    for &(id, _) in &retry_ep.assignments[idx] {
-                        let slot = cluster.slot_of(id);
-                        free_at[slot] = free_at[slot].max(ev_at) + retry_exec;
-                        tally.registry.add(MetricId::BatchesDispatched, slot, 1);
-                        tally.busy_us[slot] += retry_exec;
-                    }
-                }
-            }
-            scan += 1;
-        }
-    }
-
-    /// Per-query accounting at the batch's settled virtual completion,
-    /// then the real scatter to the node queues.
-    fn account_and_scatter(&mut self, tenant: usize, flight: &Flight, pending: &[&Query]) {
+    /// The real scatter to the node queues, with the runtime-only
+    /// per-query telemetry: virtual-latency histograms and the
+    /// wall-clock arrival anchors measured latency counts from.
+    fn scatter(&mut self, flight: &Flight, pending: &[&Query]) -> bool {
         let cluster = self.cluster;
         let cfg = &cluster.cfg;
-        let tally = &mut self.tally;
-        let (batch, idx, done_us) = (flight.batch, flight.idx, flight.done_us);
-        let path = cluster.paths[idx];
-        tally.decisions.push(path);
-        tally.epoch_batches[flight.epoch] += 1;
-        if flight.exec_epoch != flight.epoch {
-            tally.retried_queries += pending.len() as u64;
-        }
-        tally.trace(|| {
-            TraceEvent::execute(
-                done_us - flight.final_exec_us,
-                batch,
-                flight.exec_epoch as u64,
-                done_us,
-            )
-        });
-        tally.last_done_us = tally.last_done_us.max(done_us);
-        let class = &self.classes[tenant];
-        let accuracy = cfg.accuracy.of(path) as f64;
-        let label = &cluster.labels[idx];
+        let sla_us = cfg.tenants.class_of(flight.tenant as u32, cfg.sla_us).sla_us;
         let now = Instant::now();
         let mut specs = Vec::with_capacity(pending.len());
         let mut queries = Vec::with_capacity(pending.len());
         let mut total = 0usize;
         for q in pending {
-            let virtual_latency = done_us - q.arrival_us as f64;
-            tally.virtual_histogram.record(virtual_latency);
-            tally.slack.record((class.sla_us - virtual_latency).max(0.0));
-            let tt = &mut tally.per_tenant[tenant];
-            if virtual_latency > class.sla_us {
-                tally.virtual_violations += 1;
-                tt.violations += 1;
-                tally.registry.add(MetricId::SlaViolations, 0, 1);
-            }
-            tt.completed += 1;
-            tt.samples += q.size as u64;
-            tt.latency_sum_us += virtual_latency;
-            tt.vhist.record(virtual_latency);
-            tally.correct_samples += q.size as f64 * accuracy;
-            tally.usage.record(label, q.size as u64);
-            tally.routed += 1;
-            tally.trace(|| TraceEvent::complete(done_us, q.id, batch, virtual_latency));
+            let virtual_latency = flight.done_us - q.arrival_us as f64;
+            self.virtual_histogram.record(virtual_latency);
+            self.slack.record((sla_us - virtual_latency).max(0.0));
+            self.tenant_vhist[flight.tenant].record(virtual_latency);
             specs.push((q.id, q.size as u64));
             total += q.size;
             queries.push(WorkQuery {
@@ -2335,20 +1669,20 @@ impl<'a> FrontEnd<'a> {
             });
         }
         // Real execution happens once, under the final (post-retry)
-        // epoch's pruned assignment — the wasted attempt exists
-        // only in virtual time, so sharded math and cache state
-        // stay deterministic.
+        // epoch's pruned assignment — the wasted attempt exists only
+        // in virtual time, so sharded math and cache state stay
+        // deterministic.
         let assignment = &cluster
             .epoch_at(&self.dyn_epochs, flight.exec_epoch)
-            .assignments[idx];
+            .assignments[flight.idx];
         let shared = Arc::new(BatchShared {
-            path,
+            path: cluster.paths[flight.idx],
             specs,
             queries,
             total,
-            batch,
-            vstart_us: done_us - flight.final_exec_us,
-            vdone_us: done_us,
+            batch: flight.batch,
+            vstart_us: flight.done_us - flight.final_exec_us,
+            vdone_us: flight.done_us,
             partials: (0..assignment.len()).map(|_| Mutex::new(None)).collect(),
             pending: AtomicUsize::new(assignment.len()),
         });
@@ -2362,6 +1696,7 @@ impl<'a> FrontEnd<'a> {
             });
         }
         self.dispatched += 1;
+        !self.progress.failed()
     }
 }
 
@@ -2538,20 +1873,27 @@ fn build_epoch(
         }
     }
     // Hedge targets are a pure ring property: each live node's next
-    // distinct ring neighbour, frozen per epoch so the twin replay can
-    // consume them from the spec without any ring logic of its own.
+    // distinct ring neighbour, frozen per epoch so the dispatcher core
+    // needs no ring logic of its own.
     let hedge_next = plan
         .nodes()
         .iter()
         .filter_map(|&n| ring.successor(n).map(|s| (n, s)))
         .collect();
+    let targets = assignments
+        .iter()
+        .map(|a| a.iter().map(|&(id, _)| id).collect())
+        .collect();
     Ok(ClusterEpoch {
         start_us,
-        live: plan.nodes().to_vec(),
-        plan: plan.clone(),
-        mappings,
         assignments,
-        hedge_next,
+        spec: ClusterEpochSpec {
+            mappings,
+            targets,
+            live: plan.nodes().to_vec(),
+            hedge_next,
+            plan: plan.clone(),
+        },
     })
 }
 
@@ -2768,6 +2110,22 @@ mod tests {
             }),
             Err(RuntimeError::BadConfig(_))
         ));
+        // A `ChaosConfig` the ladder's arithmetic cannot take: 100
+        // retries used to shift `1u64 << 64` on the dispatching thread
+        // under a long stall (`ChaosConfig::validate` has the full list).
+        let hardened = ChaosConfig::hardened;
+        for (what, chaos) in [
+            ("retry count past the backoff shift", ChaosConfig { max_retries: 100, ..hardened() }),
+            ("NaN timeout", ChaosConfig { timeout_mult: f64::NAN, ..hardened() }),
+            ("negative backoff", ChaosConfig { backoff_base_us: -200.0, ..hardened() }),
+            ("hedge past the deadline", ChaosConfig { hedge_frac: 1.5, ..hardened() }),
+            ("descending brownout rungs", ChaosConfig { brownout_table_only_us: 1.0, ..hardened() }),
+        ] {
+            let built = Cluster::new(ClusterConfig { chaos, ..quick_cfg(2) });
+            assert!(matches!(built, Err(RuntimeError::BadConfig(_))), "{what}");
+        }
+        let at_the_cap = ChaosConfig { max_retries: ChaosConfig::MAX_RETRIES, ..hardened() };
+        assert!(Cluster::new(ClusterConfig { chaos: at_the_cap, ..quick_cfg(2) }).is_ok());
     }
 
     #[test]

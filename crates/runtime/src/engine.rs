@@ -367,9 +367,10 @@ impl Engine {
 
 /// The SLA-class degrade rank of a path: the order the class-pressure
 /// ladder turns candidates off under backlog (hybrid first, then DHE;
-/// the table path is never masked). The replay twins derive the same
-/// ranks from each mapping's `RepRole`, so class decisions stay
-/// bit-equal across twins.
+/// the table path is never masked). The dispatcher derives the same
+/// ranks from each mapping's `RepRole`
+/// (`mprec_serving::replay::degrade_rank_of`); this is the path-kind
+/// view of that table for callers that hold `PathKind`s.
 pub fn degrade_rank(path: PathKind) -> u32 {
     match path {
         PathKind::Hybrid => 2,

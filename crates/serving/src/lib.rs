@@ -11,6 +11,10 @@
 //! executes queries FIFO; execution times come from the profiled latency
 //! curves produced by the offline stage (optionally MP-Cache-adjusted).
 //!
+//! The crate is also home to the *runtime's* dispatcher contract:
+//! [`mod@dispatch`] is the sans-IO core `mprec-runtime` drives with threads,
+//! and [`mod@replay`] holds its IO-free driver and its independent reference.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,6 +37,7 @@
 //! # Ok::<(), mprec_core::CoreError>(())
 //! ```
 
+pub mod dispatch;
 mod outcome;
 mod policy;
 pub mod replay;

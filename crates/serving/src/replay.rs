@@ -1,47 +1,52 @@
-//! Discrete-event replay of the *runtime's* serving semantics.
+//! Replays of the *runtime's* serving semantics in virtual time.
 //!
 //! [`crate::simulate`] models the paper's per-query serving experiments;
 //! the multi-threaded runtime (`mprec-runtime`) instead micro-batches
 //! queries under an SLA-aware deadline/size policy and routes whole
-//! batches. This module is the simulator-side counterpart of that
-//! contract: given the *same* trace and the *same* virtual-time mapping
-//! set, [`replay`] reproduces — by an independent discrete-event
-//! implementation — the batch boundaries, the per-batch path decisions,
-//! the virtual completion times, and the aggregate outcome counts the
-//! runtime's dispatcher produces.
+//! batches. Two replays of that contract live here, and they are not
+//! the same kind of thing:
 //!
-//! The differential harness (`tests/sim_vs_runtime.rs`) holds the two
-//! implementations to exact agreement on outcome counts, decision
-//! trails, and (via a twin MP-Cache replay) cache hit counters, so the
-//! simulated and real serving stacks cannot drift apart silently.
+//! * [`replay`] / [`replay_traced`] is the **independent reference**: a
+//!   single-node discrete-event implementation over
+//!   [`mprec_core::scheduler::Scheduler`] with its own batching loop.
+//!   It shares no stateful code with the dispatcher core, so it can
+//!   catch a mistake the core makes — the engine twin tests and the
+//!   property test in `tests/dispatch_props.rs` hold the one-node core
+//!   to it bit for bit.
+//! * [`replay_cluster`] / [`replay_cluster_traced`] is a **driver** of
+//!   the dispatcher core ([`crate::dispatch`]) over a served cluster's
+//!   recorded spec, with an executor that does no IO. It cannot
+//!   disagree with the runtime about a decision; `tests/sim_vs_runtime.rs`
+//!   uses its batch trail to check what the runtime *executed* (per-node
+//!   cache counters through twin models, adaptive overlays reproduced
+//!   from the spec).
 //!
 //! # Three-tier cache accounting
 //!
 //! The MP-Cache's persistent disk tier needs no special-casing here:
-//! its latency cost reaches the replay through the mapping profiles
+//! its latency cost reaches the dispatcher through the mapping profiles
 //! themselves (a warm-started joiner's paths arrive pre-penalized via
-//! `LatencyProfile::plus_per_sample`, shipped in the cluster's
-//! `replay_spec()`), so routing and virtual times agree with the
-//! runtime automatically. The *hit accounting* is pinned by the twin
-//! replay instead: the harness mirrors the warm-start hand-off (old
-//! owners' dynamic exports loaded into the joiner twin's disk tier at
-//! the join barrier) and then demands exact per-node equality of
-//! static/dynamic/disk hit counters.
+//! `LatencyProfile::plus_per_sample`). The *hit accounting* is pinned by
+//! the harness's twin models instead, which mirror the warm-start
+//! hand-off and demand exact per-node equality of static/dynamic/disk
+//! hit counters.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 use mprec_core::candidates::RepRole;
 use mprec_core::planner::MappingSet;
-use mprec_core::scheduler::{class_pressure_mask, select_mapping, Scheduler, SchedulerConfig};
+use mprec_core::scheduler::{Scheduler, SchedulerConfig};
 use mprec_data::query::Query;
-use mprec_data::scenario::{self, ChaosConfig, FaultPlan};
+use mprec_data::scenario;
 use mprec_data::traffic::SlaClass;
-use mprec_trace::{TraceConfig, TraceEvent, TraceRecording};
+use mprec_trace::{MetricId, TraceConfig, TraceEvent, TraceRecording};
 
+pub use crate::dispatch::{ClusterChurnSpec, ClusterEpochSpec, ClusterReplaySpec};
+use crate::dispatch::{dispatch, DispatchSpec, DispatchTally, Executor, Flight};
 use crate::outcome::{PathUsage, ServingOutcome};
 
-/// Micro-batching policy mirrored from the runtime engine.
+/// The dispatcher's micro-batching policy and per-tenant SLA classes —
+/// the input both the dispatcher core and the reference replay take.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayConfig {
     /// SLA latency target in microseconds (the default class when
@@ -82,11 +87,10 @@ impl ReplayConfig {
     }
 }
 
-/// The SLA-class degrade rank the replay derives from a mapping's
-/// representation role — the twin of `mprec-runtime`'s
-/// `degrade_rank(path)`, which the runtime computes from its path
-/// kinds. Hybrid masks first under class pressure, DHE variants at the
-/// table-only rung, and everything else (table paths) never.
+/// The degrade rank of a mapping, from its representation role: the
+/// order the brownout and SLA-class ladders turn candidates off under
+/// backlog. Hybrid masks first, DHE variants at the table-only rung,
+/// and everything else (table paths) never.
 pub fn degrade_rank_of(role: RepRole) -> u32 {
     match role {
         RepRole::Hybrid => 2,
@@ -95,9 +99,9 @@ pub fn degrade_rank_of(role: RepRole) -> u32 {
     }
 }
 
-/// One tenant's replay-side accounting row — the twin of the runtime's
-/// `TenantReport`, carrying exactly the counters the differential tests
-/// pin to equality (histogram shapes follow from equal latencies).
+/// One tenant's virtual-time accounting row: what the dispatcher core
+/// tallies per tenant (the runtime's `TenantReport` is this plus a
+/// histogram) and what the reference replay reports.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantOutcome {
     /// Queries routed and completed for this tenant.
@@ -417,10 +421,11 @@ pub fn replay_closed_loop(
     }
 }
 
-/// Tenant-axis length shared by the replay drivers: one row per tenant
+/// Tenant-axis length (a pure function shared with the dispatcher
+/// core): one row per tenant
 /// seen in the trace, at least one row, and never fewer rows than the
 /// configured class list (so an all-shed tenant still gets its row).
-fn tenant_count_of(trace: &[Query], cfg: &ReplayConfig) -> usize {
+pub(crate) fn tenant_count_of(trace: &[Query], cfg: &ReplayConfig) -> usize {
     trace
         .iter()
         .map(|q| scenario::tenant_of(q.id) as usize + 1)
@@ -440,10 +445,9 @@ fn tenant_count_of(trace: &[Query], cfg: &ReplayConfig) -> usize {
 /// of the twin contract). A legacy trace (every id tenant 0) collapses
 /// to the historical single-pending behaviour bit for bit.
 ///
-/// Shared by [`replay`] and [`replay_cluster`]: the independence
-/// contract is between this crate and `mprec-runtime`, not between the
-/// two sims — a batching-rule change must reach both at once or the
-/// differential tests would pin one twin to stale semantics.
+/// Private to the reference replay on purpose: the dispatcher core has
+/// its own loop, so the batching rules are written twice and a
+/// one-sided change to them fails the twin tests.
 fn drive_batches<'t>(
     trace: &'t [Query],
     cfg: &ReplayConfig,
@@ -493,69 +497,6 @@ fn drive_batches<'t>(
     }
 }
 
-/// One epoch of an elastic cluster as the replay simulator sees it: the
-/// routing profiles in force and, per mapping, the pruned scatter
-/// target node ids (ascending, matching the runtime's assignment
-/// order).
-#[derive(Debug, Clone)]
-pub struct ClusterEpochSpec {
-    /// Capacity-aware slowest-shard mapping set of the epoch.
-    pub mappings: MappingSet,
-    /// Per mapping index: the scatter target node ids.
-    pub targets: Vec<Vec<u32>>,
-    /// Live node ids during the epoch, ascending (the brownout gauge
-    /// scans exactly these backlogs).
-    pub live: Vec<u32>,
-    /// Per live node: its consistent-hash-ring successor, the hedge
-    /// target for a slow scatter leg. Frozen by the runtime at epoch
-    /// build time so the replay needs no ring logic of its own.
-    pub hedge_next: Vec<(u32, u32)>,
-}
-
-/// One rebalance event separating two epochs. The runtime expands every
-/// configured churn event into one or more of these: a failure stays a
-/// single barrier swap, while a streaming join unrolls into its
-/// dual-ownership window open, one event per chunk flip, and the
-/// cold-tier penalty lift; adaptive re-plans append further events
-/// after the static schedule. The replay needs no migration-specific
-/// logic — each event just advances it to the next epoch's profiles and
-/// target sets at the first flush at or after `at_us`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterChurnSpec {
-    /// Virtual time of the event (µs); takes effect at the first flush
-    /// at or after it.
-    pub at_us: f64,
-    /// `Some(node)` for a failure (in-flight batches to it retry under
-    /// the next epoch), `None` for every other rebalance step — joins,
-    /// window opens, chunk flips, penalty lifts, adaptive re-plans —
-    /// none of which retries anything.
-    pub failed: Option<u32>,
-}
-
-/// Everything the cluster replay needs: the epoch sequence and the
-/// events between consecutive epochs (`events.len() ==
-/// epochs.len() - 1`). Produced by `mprec-runtime`'s
-/// `Cluster::replay_spec`, consumed by [`replay_cluster`].
-#[derive(Debug, Clone)]
-pub struct ClusterReplaySpec {
-    /// Epoch descriptions, boot epoch first.
-    pub epochs: Vec<ClusterEpochSpec>,
-    /// The churn events separating consecutive epochs.
-    pub events: Vec<ClusterChurnSpec>,
-    /// The deterministic fault schedule the runtime injected (empty
-    /// when chaos is off) — the replay resolves every leg against the
-    /// same windows.
-    pub faults: FaultPlan,
-    /// The lifecycle-hardening knobs in force (timeouts, hedging,
-    /// backoff, brownout). The inert default reproduces the legacy
-    /// single-attempt accounting bit for bit.
-    pub chaos: ChaosConfig,
-    /// Brownout degrade rank per mapping index (2 = hybrid, masked
-    /// first; 1 = DHE; 0 = table, never masked). Computed by the
-    /// runtime from its path kinds.
-    pub degrade_rank: Vec<u32>,
-}
-
 /// One routed micro-batch of a cluster replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReplayBatch {
@@ -584,35 +525,27 @@ pub struct ClusterReplayResult {
     /// Batches that retried after an in-flight node failure.
     pub retried_batches: u64,
     /// Queries shed before routing — the tenant-class shed plus the
-    /// brownout controller's sequence-modulus rung (twin of
-    /// `ClusterReport::shed_queries`).
+    /// brownout controller's sequence-modulus rung.
     pub shed_queries: u64,
-    /// Per-tenant accounting rows, indexed by tenant id — the twin of
-    /// `ClusterReport::tenants`.
+    /// Per-tenant accounting rows, indexed by tenant id.
     pub tenants: Vec<TenantOutcome>,
-    /// Scatter legs that missed their per-leg virtual deadline (twin of
-    /// `ClusterReport::leg_timeouts`).
+    /// Scatter legs that missed their per-leg virtual deadline, hedge
+    /// legs issued to ring successors, and backoff retries of timed-out
+    /// legs (the same counters `ClusterReport` carries).
     pub leg_timeouts: u64,
-    /// Hedge legs issued to ring successors (twin of
-    /// `ClusterReport::hedged_legs`).
     pub hedged_legs: u64,
-    /// Backoff retries of timed-out legs (twin of
-    /// `ClusterReport::leg_retries`).
     pub leg_retries: u64,
 }
 
 /// Replays `trace` through the **elastic cluster's** serving contract:
-/// the runtime's micro-batching (identical to [`replay`]), Algorithm-2
-/// routing over per-*node* backlogs (a dispatched batch occupies every
-/// scatter target until its merge completes; the router sees the
-/// busiest target's queue), epoch switching at churn events, and
-/// failure retries — an in-flight batch whose target fails restarts at
-/// the failure instant under the next epoch's profiles, its queries
-/// charged both legs' latency.
-///
-/// This is an independent re-implementation of
-/// `mprec-runtime::cluster`'s dispatcher; `tests/sim_vs_runtime.rs`
-/// pins the two to exact agreement, node churn included.
+/// the one dispatcher core ([`crate::dispatch`]) over the recorded
+/// `spec`, with an executor that does no IO — it never paces, every
+/// barrier passes, and a scattered batch is only appended to the trail.
+/// Overlay epochs the runtime's adaptive planner opened arrive as
+/// recorded `spec` events, so the replay switches exactly where the
+/// runtime's trigger said it did. (The runtime drives the same core,
+/// so the two agree on decisions by construction; the independent
+/// reference for the core itself is [`replay`].)
 pub fn replay_cluster(
     spec: &ClusterReplaySpec,
     trace: &[Query],
@@ -621,339 +554,102 @@ pub fn replay_cluster(
     replay_cluster_traced(spec, trace, cfg, TraceConfig::default()).0
 }
 
+/// The executor of a replay: no pacing, no barriers, no overlays to
+/// build — it keeps the batch trail and the per-query latencies.
+#[derive(Default)]
+struct Trail {
+    batches: Vec<ClusterReplayBatch>,
+    latencies: Vec<f64>,
+}
+
+impl Executor for Trail {
+    fn pace(&mut self, _t_us: f64) {}
+
+    fn barrier(&mut self, _: usize, _: f64, _: &[f64], _: &mut DispatchTally) -> bool {
+        true
+    }
+
+    fn build_overlay(
+        &mut self,
+        _idlest: u32,
+        _moved: &[usize],
+        _at_us: f64,
+        _free_at: &[f64],
+        _tally: &mut DispatchTally,
+    ) -> Option<ClusterEpochSpec> {
+        unreachable!("a replay runs without the adaptive trigger")
+    }
+
+    fn scatter(&mut self, flight: &Flight, queries: &[&Query]) -> bool {
+        self.latencies
+            .extend(queries.iter().map(|q| flight.done_us - q.arrival_us as f64));
+        self.batches.push(ClusterReplayBatch {
+            mapping_idx: flight.idx,
+            epoch_idx: flight.exec_epoch,
+            queries: queries.iter().map(|q| (q.id, q.size as u64)).collect(),
+            done_us: flight.done_us,
+            retried: flight.exec_epoch != flight.epoch,
+        });
+        true
+    }
+}
+
 /// [`replay_cluster`] with a flight recorder: when `recorder.enabled`,
-/// the replay records a `dispatcher` track in exactly the cluster
-/// runtime's event order and virtual stamps — `Enqueue` at admission,
+/// the core records its `dispatcher` track — `Enqueue` at admission,
 /// then per flush `BatchFormed`, `RouteDecision` (with the rejected
 /// candidates' scored completions), one `Scatter` per pruned target,
 /// a `Retry` plus post-failure `Scatter`s per retry leg, `Execute`,
-/// and one `Complete` per query. Epoch barriers and warm-start
-/// hand-offs are runtime-membership events and are deliberately *not*
-/// replayed (they are not twin-pinned).
+/// and one `Complete` per query. Membership events (barriers,
+/// warm-starts, migrations) are recorded by the runtime's executor and
+/// so are absent here; they are not twin-pinned.
 pub fn replay_cluster_traced(
     spec: &ClusterReplaySpec,
     trace: &[Query],
     cfg: &ReplayConfig,
     recorder: TraceConfig,
 ) -> (ClusterReplayResult, Option<TraceRecording>) {
-    assert_eq!(
-        spec.events.len() + 1,
-        spec.epochs.len(),
-        "one event between consecutive epochs"
+    let mut node_ids: Vec<u32> = spec.epochs.iter().flat_map(|e| e.live.iter().copied()).collect();
+    node_ids.sort_unstable();
+    node_ids.dedup();
+    let mut trail = Trail::default();
+    let mut tally = dispatch(
+        DispatchSpec {
+            epochs: spec.epochs.iter().collect(),
+            events: &spec.events,
+            faults: &spec.faults,
+            chaos: spec.chaos,
+            node_ids: &node_ids,
+            batching: cfg,
+            adaptive: None,
+            recorder,
+        },
+        trace,
+        &mut trail,
     );
-    let labels: Vec<String> = spec.epochs[0]
-        .mappings
-        .mappings
-        .iter()
-        .map(|m| m.label(&spec.epochs[0].mappings.platforms))
-        .collect();
-    let tenant_count = tenant_count_of(trace, cfg);
-    let mut tenants: Vec<TenantOutcome> = vec![TenantOutcome::default(); tenant_count];
-    let mut batches: Vec<ClusterReplayBatch> = Vec::new();
-    let mut usage = PathUsage::default();
-    let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
-    let mut samples = 0u64;
-    let mut correct = 0.0f64;
-    let mut violations = 0u64;
-    let mut retried_batches = 0u64;
-    let mut shed_queries = 0u64;
-    let mut leg_timeouts = 0u64;
-    let mut hedged_legs = 0u64;
-    let mut leg_retries = 0u64;
-    let mut last_completion = 0.0f64;
-    let mut free_at: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut cur_epoch = 0usize;
-    let ring = RefCell::new(recorder.ring());
-
-    let flush = |pending: &mut Vec<&Query>, pending_samples: &mut u64, tenant: usize, flush_at_us: f64| {
-        while cur_epoch < spec.events.len() && spec.events[cur_epoch].at_us <= flush_at_us {
-            cur_epoch += 1;
-        }
-        let e = cur_epoch;
-        let ep = &spec.epochs[e];
-        // Brownout gauge, class shed, then the chaos shed rung,
-        // mirroring the runtime's flush exactly: worst live-node
-        // backlog; a loose tenant class drops its whole batch at its
-        // shed rung; then the sequence-modulus shed — every dropped
-        // query takes an explicit Shed outcome.
-        let backlog_us = ep
-            .live
-            .iter()
-            .map(|id| (free_at.get(id).copied().unwrap_or(0.0) - flush_at_us).max(0.0))
-            .fold(0.0f64, f64::max);
-        let class = cfg.class_of(tenant);
-        if class.sheds(backlog_us) {
-            let tt = &mut tenants[tenant];
-            for q in pending.iter() {
-                shed_queries += 1;
-                tt.shed_queries += 1;
-                if let Some(r) = ring.borrow_mut().as_mut() {
-                    r.record(TraceEvent::shed(flush_at_us, q.id, q.size as u64, backlog_us));
-                }
-            }
-            pending.clear();
-            *pending_samples = 0;
-            return;
-        }
-        if spec.chaos.brownout && backlog_us >= spec.chaos.brownout_shed_us {
-            pending.retain(|q| {
-                if spec.chaos.sheds(backlog_us, scenario::sequence_of(q.id)) {
-                    *pending_samples -= q.size as u64;
-                    shed_queries += 1;
-                    tenants[tenant].shed_queries += 1;
-                    if let Some(r) = ring.borrow_mut().as_mut() {
-                        r.record(TraceEvent::shed(flush_at_us, q.id, q.size as u64, backlog_us));
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-            if pending.is_empty() {
-                *pending_samples = 0;
-                return;
-            }
-        }
-        let oldest_us = pending[0].arrival_us as f64;
-        let sla_remaining = (class.sla_us - (flush_at_us - oldest_us)).max(1.0);
-        let size = *pending_samples;
-
-        let n = ep.mappings.mappings.len();
-        let mut execs = Vec::with_capacity(n);
-        let mut starts = Vec::with_capacity(n);
-        let mut completions = Vec::with_capacity(n);
-        for i in 0..n {
-            let exec = ep.mappings.mappings[i].profile.latency_us(size);
-            let busiest = ep.targets[i]
-                .iter()
-                .map(|id| free_at.get(id).copied().unwrap_or(0.0))
-                .fold(f64::NEG_INFINITY, f64::max);
-            let start = busiest.max(flush_at_us);
-            execs.push(exec);
-            starts.push(start);
-            completions.push((start - flush_at_us) + exec);
-        }
-        spec.chaos
-            .brownout_mask(&spec.degrade_rank, backlog_us, &mut completions);
-        class_pressure_mask(
-            &spec.degrade_rank,
-            backlog_us,
-            class.narrow_backlog_us,
-            class.table_only_backlog_us,
-            &mut completions,
-        );
-        let idx = select_mapping(&ep.mappings, &completions, sla_remaining, true)
-            .expect("mapping set is never empty");
-        let batch = batches.len() as u64;
-        if let Some(r) = ring.borrow_mut().as_mut() {
-            r.record(TraceEvent::batch_formed(
-                flush_at_us,
-                batch,
-                pending.len() as u64,
-                size,
-                oldest_us,
-            ));
-            r.record(TraceEvent::route_decision(
-                flush_at_us,
-                batch,
-                size,
-                e as u64,
-                sla_remaining,
-                idx as i32,
-                &completions,
-            ));
-            for id in &ep.targets[idx] {
-                r.record(TraceEvent::scatter(flush_at_us, batch, *id, e as u64));
-            }
-        }
-        let mut done_us;
-        let mut final_exec = execs[idx];
-        if spec.chaos.timeouts_enabled() {
-            // Chaos leg resolution — the independent mirror of the
-            // runtime dispatcher's timeout/hedge/backoff ladder. Every
-            // attempt is charged to its node's ledger, lost or not.
-            let chaos = spec.chaos;
-            let exec = execs[idx];
-            let start_us = starts[idx];
-            let timeout = chaos.timeout_mult * exec;
-            let mut batch_done = f64::NEG_INFINITY;
-            for &id in &ep.targets[idx] {
-                let mut a_start = start_us;
-                let mut attempt = 0u32;
-                let leg_done = loop {
-                    let eff = exec * spec.faults.straggler_multiplier(id, a_start);
-                    let lost = spec.faults.drops_leg(id, a_start, attempt);
-                    let f = free_at.entry(id).or_insert(0.0);
-                    *f = f.max(a_start) + eff;
-                    let mut cand = if lost { f64::INFINITY } else { a_start + eff };
-                    let deadline = a_start + timeout;
-                    if attempt == 0
-                        && chaos.hedging
-                        && cand > a_start + chaos.hedge_frac * timeout
-                    {
-                        let hedge_to = ep
-                            .hedge_next
-                            .iter()
-                            .find(|&&(n, _)| n == id)
-                            .map(|&(_, s)| s);
-                        if let Some(h) = hedge_to {
-                            let hedge_at = a_start + chaos.hedge_frac * timeout;
-                            let h_start =
-                                free_at.get(&h).copied().unwrap_or(0.0).max(hedge_at);
-                            let h_eff = exec * spec.faults.straggler_multiplier(h, h_start);
-                            let h_lost = spec.faults.drops_leg(h, h_start, 1);
-                            free_at.insert(h, h_start + h_eff);
-                            hedged_legs += 1;
-                            if let Some(r) = ring.borrow_mut().as_mut() {
-                                r.record(TraceEvent::hedge(hedge_at, batch, id, h));
-                            }
-                            if !h_lost {
-                                cand = cand.min(h_start + h_eff);
-                            }
-                        }
-                    }
-                    if cand <= deadline {
-                        break cand;
-                    }
-                    leg_timeouts += 1;
-                    if let Some(r) = ring.borrow_mut().as_mut() {
-                        r.record(TraceEvent::timeout(deadline, batch, id, attempt, timeout));
-                    }
-                    if attempt >= chaos.max_retries {
-                        let f = free_at.entry(id).or_insert(0.0);
-                        *f = f.max(deadline) + exec;
-                        break deadline + exec;
-                    }
-                    attempt += 1;
-                    leg_retries += 1;
-                    a_start = deadline + chaos.backoff_base_us * (1u64 << (attempt - 1)) as f64;
-                };
-                batch_done = batch_done.max(leg_done);
-            }
-            done_us = batch_done;
-        } else {
-            done_us = starts[idx] + execs[idx];
-            for id in &ep.targets[idx] {
-                let f = free_at.entry(*id).or_insert(0.0);
-                *f = f.max(flush_at_us) + execs[idx];
-            }
-        }
-
-        // Failure retries, mirroring the runtime's fault model exactly.
-        let mut exec_epoch = e;
-        let mut retried = false;
-        let mut scan = e;
-        while scan < spec.events.len() {
-            let ev = spec.events[scan];
-            if ev.at_us >= done_us {
-                break;
-            }
-            if let Some(failed) = ev.failed {
-                if spec.epochs[exec_epoch].targets[idx].contains(&failed) {
-                    exec_epoch = scan + 1;
-                    retried = true;
-                    retried_batches += 1;
-                    let retry_ep = &spec.epochs[exec_epoch];
-                    let retry_exec = retry_ep.mappings.mappings[idx].profile.latency_us(size);
-                    let retry_start = retry_ep.targets[idx]
-                        .iter()
-                        .map(|id| free_at.get(id).copied().unwrap_or(0.0))
-                        .fold(f64::NEG_INFINITY, f64::max)
-                        .max(ev.at_us);
-                    done_us = retry_start + retry_exec;
-                    final_exec = retry_exec;
-                    if let Some(r) = ring.borrow_mut().as_mut() {
-                        r.record(TraceEvent::retry(ev.at_us, batch, failed, exec_epoch as u64));
-                        for id in &retry_ep.targets[idx] {
-                            r.record(TraceEvent::scatter(ev.at_us, batch, *id, exec_epoch as u64));
-                        }
-                    }
-                    for id in &retry_ep.targets[idx] {
-                        let f = free_at.entry(*id).or_insert(0.0);
-                        *f = f.max(ev.at_us) + retry_exec;
-                    }
-                }
-            }
-            scan += 1;
-        }
-
-        if let Some(r) = ring.borrow_mut().as_mut() {
-            r.record(TraceEvent::execute(
-                done_us - final_exec,
-                batch,
-                exec_epoch as u64,
-                done_us,
-            ));
-        }
-        let accuracy = ep.mappings.mappings[idx].rep.accuracy as f64;
-        let label = &labels[idx];
-        let mut queries = Vec::with_capacity(pending.len());
-        let tt = &mut tenants[tenant];
-        for q in pending.iter() {
-            let latency = done_us - q.arrival_us as f64;
-            if latency > class.sla_us {
-                violations += 1;
-                tt.sla_violations += 1;
-            }
-            tt.completed += 1;
-            tt.samples += q.size as u64;
-            tt.latency_sum_us += latency;
-            if let Some(r) = ring.borrow_mut().as_mut() {
-                r.record(TraceEvent::complete(done_us, q.id, batch, latency));
-            }
-            latencies.push(latency);
-            samples += q.size as u64;
-            correct += q.size as f64 * accuracy;
-            usage.record(label, q.size as u64);
-            queries.push((q.id, q.size as u64));
-        }
-        last_completion = last_completion.max(done_us);
-        batches.push(ClusterReplayBatch {
-            mapping_idx: idx,
-            epoch_idx: exec_epoch,
-            queries,
-            done_us,
-            retried,
-        });
-        pending.clear();
-        *pending_samples = 0;
-    };
-    let on_admit = |q: &Query| {
-        if let Some(r) = ring.borrow_mut().as_mut() {
-            r.record(TraceEvent::enqueue(q.arrival_us as f64, q.id, q.size as u64));
-        }
-    };
-    drive_batches(trace, cfg, tenant_count, on_admit, flush);
-
-    let outcome = ServingOutcome::from_latency_samples(
-        "replay-cluster",
-        latencies,
-        samples,
-        correct,
-        violations,
-        last_completion / 1e6,
-        usage,
-    );
-    let trace_rec = recorder.enabled.then(|| {
-        let mut rec = TraceRecording::new(labels);
-        if let Some(r) = ring.into_inner() {
-            rec.push_ring("dispatcher", r);
-        }
+    let trace_rec = tally.ring.take().map(|ring| {
+        let mut rec = TraceRecording::new(tally.labels.clone());
+        rec.push_ring("dispatcher", ring);
         rec
     });
-    (
-        ClusterReplayResult {
-            outcome,
-            batches,
-            retried_batches,
-            shed_queries,
-            tenants,
-            leg_timeouts,
-            hedged_legs,
-            leg_retries,
-        },
-        trace_rec,
-    )
+    let result = ClusterReplayResult {
+        retried_batches: tally.retried_batches,
+        shed_queries: tally.registry.total(MetricId::ShedQueries),
+        leg_timeouts: tally.registry.total(MetricId::LegTimeouts),
+        hedged_legs: tally.registry.total(MetricId::HedgedLegs),
+        leg_retries: tally.registry.total(MetricId::LegRetries),
+        outcome: ServingOutcome::from_latency_samples(
+            "replay-cluster",
+            trail.latencies,
+            tally.tenants.iter().map(|t| t.samples).sum(),
+            tally.correct_samples,
+            tally.registry.total(MetricId::SlaViolations),
+            tally.last_done_us / 1e6,
+            tally.usage,
+        ),
+        batches: trail.batches,
+        tenants: tally.tenants,
+    };
+    (result, trace_rec)
 }
 
 #[cfg(test)]

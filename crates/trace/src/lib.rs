@@ -612,6 +612,107 @@ impl TrackRecording {
     pub fn events_of(&self, kind: EventKind) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.kind == kind)
     }
+
+    /// The query-lifecycle invariants of [`TraceRecording::validate`],
+    /// over a track that kept every event.
+    fn check_lifecycle(&self) -> Result<(), String> {
+        use std::collections::HashMap;
+
+        /// What the track says about one batch.
+        #[derive(Default)]
+        struct Batch {
+            formed: u32,
+            queries: u64,
+            routes: u32,
+            executes: u32,
+            done_us: f64,
+            completes: u64,
+        }
+        let fail = |what: String| Err(format!("{}: {what}", self.name));
+        // Query id -> (enqueue instant, outcomes seen).
+        let mut queries: HashMap<u64, (f64, u32)> = HashMap::new();
+        let mut batches: HashMap<u64, Batch> = HashMap::new();
+        for (i, e) in self.events.iter().enumerate() {
+            match e.kind {
+                EventKind::Enqueue if queries.insert(e.id, (e.t_us, 0)).is_some() => {
+                    return fail(format!("query {} enqueued twice", e.id));
+                }
+                EventKind::BatchFormed => {
+                    let b = batches.entry(e.id).or_default();
+                    b.formed += 1;
+                    b.queries = e.a;
+                }
+                EventKind::RouteDecision => batches.entry(e.id).or_default().routes += 1,
+                EventKind::Execute => {
+                    let b = batches.entry(e.id).or_default();
+                    b.executes += 1;
+                    b.done_us = e.arg;
+                }
+                EventKind::Retry => {
+                    let scatters = self.events[i + 1..]
+                        .iter()
+                        .take_while(|s| {
+                            s.kind == EventKind::Scatter
+                                && s.id == e.id
+                                && s.b == e.b
+                                && s.t_us.to_bits() == e.t_us.to_bits()
+                        })
+                        .count();
+                    if scatters == 0 {
+                        return fail(format!(
+                            "retry of batch {} is not followed by its post-failure scatters",
+                            e.id
+                        ));
+                    }
+                }
+                _ => {}
+            }
+        }
+        for e in &self.events {
+            if !matches!(e.kind, EventKind::Complete | EventKind::Shed) {
+                continue;
+            }
+            let Some((enqueued_us, outcomes)) = queries.get_mut(&e.id) else {
+                return fail(format!("query {} has an outcome but no enqueue", e.id));
+            };
+            *outcomes += 1;
+            if e.kind == EventKind::Shed {
+                continue;
+            }
+            let Some(b) = batches.get_mut(&e.b) else {
+                return fail(format!("query {} completed in unknown batch {}", e.id, e.b));
+            };
+            b.completes += 1;
+            if (b.formed, b.routes, b.executes) != (1, 1, 1) {
+                return fail(format!(
+                    "batch {} has {} BatchFormed / {} RouteDecision / {} Execute, want 1 each",
+                    e.b, b.formed, b.routes, b.executes
+                ));
+            }
+            if e.t_us.to_bits() != b.done_us.to_bits() {
+                return fail(format!(
+                    "query {} completed at {} but batch {} executed until {}",
+                    e.id, e.t_us, e.b, b.done_us
+                ));
+            }
+            if e.arg.to_bits() != (e.t_us - *enqueued_us).to_bits() {
+                return fail(format!(
+                    "query {} latency {} != completion {} - enqueue {}",
+                    e.id, e.arg, e.t_us, enqueued_us
+                ));
+            }
+        }
+        if let Some((id, (_, n))) = queries.iter().find(|(_, &(_, n))| n != 1) {
+            return fail(format!("query {id} has {n} outcomes, want exactly one"));
+        }
+        if let Some((id, b)) = batches.iter().find(|(_, b)| b.formed > 0 && b.completes != b.queries) {
+            return fail(format!(
+                "batch {id} formed with {} queries but completed {}",
+                b.queries, b.completes
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// A full recording: all tracks of one run plus the mapping-index →
@@ -637,6 +738,10 @@ pub struct TraceSummary {
     pub route_decisions: u64,
     /// `Complete` events kept.
     pub completes: u64,
+    /// Whether the query-lifecycle invariants were checked. They need
+    /// every event, so a recording whose rings dropped or sampled
+    /// events out is only checked event by event.
+    pub lifecycle_checked: bool,
 }
 
 impl TraceRecording {
@@ -670,13 +775,38 @@ impl TraceRecording {
         self.tracks.iter().map(|t| t.sampled_out).sum()
     }
 
-    /// Check structural invariants: every timestamp finite, every
-    /// execution window non-negative (`done >= start`), every
-    /// `RouteDecision` carrying a feasible chosen index into the label
-    /// table. Returns integrity counters on success.
+    /// Check the invariants a recording must satisfy on its own, with
+    /// no twin to compare against.
+    ///
+    /// Event by event: every timestamp finite, every execution window
+    /// non-negative (`done >= start`), every `RouteDecision` carrying a
+    /// feasible chosen index into the label table.
+    ///
+    /// Per track, when nothing was dropped or sampled out anywhere
+    /// ([`TraceSummary::lifecycle_checked`]), the query lifecycle:
+    ///
+    /// * every `Enqueue` ends in exactly one `Complete` or `Shed`, and
+    ///   every `Complete` / `Shed` names an enqueued query;
+    /// * every `Complete` names a batch that has exactly one
+    ///   `BatchFormed`, one `RouteDecision` and one `Execute`;
+    /// * a batch's `Complete` count equals its `BatchFormed.queries`;
+    /// * `Complete.t_us == Execute.done`, and `Complete.latency ==
+    ///   Complete.t_us - Enqueue.t_us`, bit for bit;
+    /// * every `Retry` is directly followed by its post-failure
+    ///   `Scatter`s (same batch, same instant, the retry's new epoch).
+    ///
+    /// Returns integrity counters on success.
     pub fn validate(&self) -> Result<TraceSummary, String> {
-        let mut sum = TraceSummary { tracks: self.tracks.len(), ..TraceSummary::default() };
+        let complete = self.total_dropped() == 0 && self.total_sampled_out() == 0;
+        let mut sum = TraceSummary {
+            tracks: self.tracks.len(),
+            lifecycle_checked: complete,
+            ..TraceSummary::default()
+        };
         for track in &self.tracks {
+            if complete {
+                track.check_lifecycle()?;
+            }
             sum.events += track.events.len() as u64;
             sum.dropped += track.dropped_events;
             for (i, e) in track.events.iter().enumerate() {
@@ -917,6 +1047,7 @@ mod tests {
         ring.record(TraceEvent::hedge(69.0, 3, 0, 1));
         ring.record(TraceEvent::execute(9.0, 3, 0, 229.0));
         ring.record(TraceEvent::complete(229.0, 42, 3, 228.0));
+        ring.record(TraceEvent::enqueue(230.0, 77, 2));
         ring.record(TraceEvent::shed(240.0, 77, 2, 18_000.0));
         rec.push_ring("dispatcher", ring);
         let text = rec.explain(42).expect("query present");
@@ -932,6 +1063,7 @@ mod tests {
         let mut rec = TraceRecording::new(vec!["table".into(), "dhe".into()]);
         let mut ring = EventRing::with_capacity(16);
         ring.record(TraceEvent::enqueue(1.0, 7, 2));
+        ring.record(TraceEvent::batch_formed(5.0, 0, 1, 2, 1.0));
         ring.record(TraceEvent::route_decision(5.0, 0, 2, 0, 100.0, 1, &[30.0, 20.0]));
         ring.record(TraceEvent::execute(5.0, 0, 0, 25.0));
         ring.record(TraceEvent::complete(25.0, 7, 0, 24.0));
@@ -939,13 +1071,110 @@ mod tests {
         let sum = rec.validate().expect("valid");
         assert_eq!(sum.route_decisions, 1);
         assert_eq!(sum.completes, 1);
-        assert_eq!(sum.events, 4);
+        assert_eq!(sum.events, 5);
+        assert!(sum.lifecycle_checked);
 
         let mut bad = TraceRecording::new(vec!["table".into()]);
         let mut ring = EventRing::with_capacity(4);
         ring.record(TraceEvent::execute(10.0, 0, 0, 5.0));
         bad.push_ring("dispatcher", ring);
         assert!(bad.validate().is_err());
+    }
+
+    /// A two-query batch that retries once, plus one shed query.
+    fn lifecycle() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::enqueue(1.0, 7, 2),
+            TraceEvent::enqueue(2.0, 8, 3),
+            TraceEvent::enqueue(3.0, 9, 1),
+            TraceEvent::batch_formed(5.0, 0, 2, 5, 1.0),
+            TraceEvent::route_decision(5.0, 0, 5, 0, 100.0, 1, &[30.0, 20.0]),
+            TraceEvent::scatter(5.0, 0, 0, 0),
+            TraceEvent::retry(9.0, 0, 0, 1),
+            TraceEvent::scatter(9.0, 0, 1, 1),
+            TraceEvent::execute(9.0, 0, 1, 29.0),
+            TraceEvent::complete(29.0, 7, 0, 28.0),
+            TraceEvent::complete(29.0, 8, 0, 27.0),
+            TraceEvent::shed(30.0, 9, 1, 5_000.0),
+        ]
+    }
+
+    fn recording(events: &[TraceEvent], capacity: usize) -> TraceRecording {
+        let mut rec = TraceRecording::new(vec!["table".into(), "dhe".into()]);
+        let mut ring = EventRing::with_capacity(capacity);
+        for e in events {
+            ring.record(*e);
+        }
+        rec.push_ring("dispatcher", ring);
+        rec
+    }
+
+    #[test]
+    fn validate_rejects_each_broken_lifecycle_invariant() {
+        let good = lifecycle();
+        let sum = recording(&good, 32).validate().expect("the unbroken lifecycle is valid");
+        assert!(sum.lifecycle_checked);
+
+        let without = |i: usize| {
+            let mut ev = good.clone();
+            ev.remove(i);
+            ev
+        };
+        let with = |i: usize, e: TraceEvent| {
+            let mut ev = good.clone();
+            ev.insert(i, e);
+            ev
+        };
+        let replaced = |i: usize, e: TraceEvent| {
+            let mut ev = good.clone();
+            ev[i] = e;
+            ev
+        };
+        let off_by_an_ulp = f64::from_bits(28.0f64.to_bits() + 1);
+        let broken: Vec<(&str, Vec<TraceEvent>, &str)> = vec![
+            ("an enqueue with no outcome", without(10), "query 8 has 0 outcomes"),
+            (
+                "a query completed twice",
+                with(10, TraceEvent::complete(29.0, 7, 0, 28.0)),
+                "query 7 has 2 outcomes",
+            ),
+            (
+                "an outcome for a query never enqueued",
+                with(11, TraceEvent::complete(29.0, 99, 0, 28.0)),
+                "query 99 has an outcome but no enqueue",
+            ),
+            ("a completed batch never formed", without(3), "0 BatchFormed"),
+            (
+                "a batch routed twice",
+                with(5, TraceEvent::route_decision(5.0, 0, 5, 0, 100.0, 0, &[30.0, 20.0])),
+                "2 RouteDecision",
+            ),
+            ("a completed batch never executed", without(8), "0 Execute"),
+            (
+                "fewer completes than the batch formed with",
+                replaced(3, TraceEvent::batch_formed(5.0, 0, 3, 5, 1.0)),
+                "formed with 3 queries but completed 2",
+            ),
+            (
+                "a completion off its batch's virtual done time",
+                replaced(9, TraceEvent::complete(30.0, 7, 0, 29.0)),
+                "executed until 29",
+            ),
+            (
+                "a latency that is not completion minus enqueue",
+                replaced(9, TraceEvent::complete(29.0, 7, 0, off_by_an_ulp)),
+                "query 7 latency",
+            ),
+            ("a retry without its post-failure scatters", without(7), "not followed by"),
+        ];
+        for (what, events, want) in broken {
+            let err = recording(&events, 32).validate().expect_err(what);
+            assert!(err.contains(want), "{what}: {err}");
+            // The same damage in a ring that spilled cannot be told from
+            // the spill itself: the lifecycle is skipped, and says so.
+            let spilled = recording(&events, 4).validate().expect("per-event checks only");
+            assert!(!spilled.lifecycle_checked, "{what}");
+        }
     }
 
     #[test]

@@ -172,6 +172,11 @@ impl MetricsRegistry {
         self.cell(m, slot).load(Ordering::Relaxed)
     }
 
+    /// Sum of `m` over every slot (a per-node counter's cluster total).
+    pub fn total(&self, m: MetricId) -> u64 {
+        (0..self.slots).map(|slot| self.get(m, slot)).sum()
+    }
+
     /// Consistent point-in-time copy of every cell.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -239,6 +244,7 @@ mod tests {
         assert_eq!(snap.get(MetricId::BatchesDispatched, 1), 5);
         assert_eq!(snap.get(MetricId::QueueDepthUs, 1), 420);
         assert_eq!(snap.get(MetricId::QueueDepthUs, 0), 0);
+        assert_eq!(reg.total(MetricId::BatchesDispatched), 8);
         // Later mutations don't retroactively change a snapshot.
         reg.add(MetricId::BatchesDispatched, 0, 1);
         assert_eq!(snap.get(MetricId::BatchesDispatched, 0), 3);

@@ -128,15 +128,16 @@ trace-smoke:
 bench-smoke:
     timeout 300 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
-# Line budgets (ROADMAP item 3), one per crate that has had its diet.
+# Line budgets (ROADMAP item 6), one per crate that has had its diet.
 # Raise one only together with a CHANGES.md line saying what the growth
 # bought.
-runtime_loc_budget := "5843"
+runtime_loc_budget := "5202"
 core_loc_budget := "4235"
+serving_loc_budget := "2413"
 
 # Lines of Rust per crate, then the budget checks: fails when
-# crates/runtime/src or crates/core/src has outgrown its budget.
-# Mirrors the CI step (which reads the budgets from this file).
+# crates/{runtime,core,serving}/src has outgrown its budget. Mirrors
+# the CI step (which reads the budgets from this file).
 loc:
     @for d in crates/*/src; do printf '%7d %s\n' "$(find "$d" -name '*.rs' -exec cat {} + | wc -l)" "$d"; done
-    @for cb in runtime:{{runtime_loc_budget}} core:{{core_loc_budget}}; do c=${cb%:*}; b=${cb#*:}; n=$(cat crates/$c/src/*.rs | wc -l); test "$n" -le "$b" || { echo "crates/$c/src: $n lines, over the $b-line budget"; exit 1; }; done
+    @for cb in runtime:{{runtime_loc_budget}} core:{{core_loc_budget}} serving:{{serving_loc_budget}}; do c=${cb%:*}; b=${cb#*:}; n=$(cat crates/$c/src/*.rs | wc -l); test "$n" -le "$b" || { echo "crates/$c/src: $n lines, over the $b-line budget"; exit 1; }; done

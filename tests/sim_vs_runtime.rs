@@ -583,6 +583,8 @@ fn replay_sees_scenario_load_shapes_through_the_shared_trace() {
 
 /// Compares the twin-pinned dispatcher event streams element-for-element.
 fn assert_trace_twin_agreement(rt: &TraceRecording, sim: &TraceRecording) {
+    rt.validate().expect("runtime recording satisfies its lifecycle invariants");
+    sim.validate().expect("replay recording satisfies its lifecycle invariants");
     let rt_track = rt.track("dispatcher").expect("runtime dispatcher track");
     let sim_track = sim.track("dispatcher").expect("replay dispatcher track");
     assert_eq!(rt_track.dropped_events, 0, "runtime dispatcher dropped events");
