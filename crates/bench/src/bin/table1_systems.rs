@@ -35,5 +35,5 @@ fn main() {
         );
     }
     println!("\n(eff GF/s are framework-effective rates calibrated to the");
-    println!(" paper's measured ratios; see DESIGN.md and EXPERIMENTS.md)");
+    println!(" paper's measured ratios; the calibrate_hw bin prints both)");
 }

@@ -2,8 +2,8 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper; this library centralizes the experiment configuration so the
-//! binaries stay declarative. See `DESIGN.md` §4 for the experiment index
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! binaries stay declarative. Each binary's module docs state the paper's
+//! numbers; README "Tests vs. bench binaries" lists what `cargo test` pins.
 
 use mprec_core::candidates::{default_accuracy_book, paper_candidates, CandidateRep};
 use mprec_core::planner::{plan, MappingSet};

@@ -79,8 +79,8 @@ pub struct AccuracyBook {
 
 /// Default accuracy book: the values measured by
 /// `cargo run -p mprec-bench --bin table2_accuracy` on the synthetic
-/// datasets (see `EXPERIMENTS.md`), falling back to the paper's Table 2
-/// deltas applied to the measured baselines.
+/// datasets, falling back to the paper's Table 2 deltas applied to the
+/// measured baselines.
 pub fn default_accuracy_book(spec: &DatasetSpec) -> AccuracyBook {
     if spec.name.starts_with("terabyte") {
         AccuracyBook {

@@ -3,7 +3,7 @@
 //! Both the data generator (teacher traits, idiosyncratic effects) and the
 //! DHE encoder build on cheap, high-quality integer mixing. Centralizing the
 //! mixer here keeps the "trait hash family" shared between the teacher and
-//! DHE encoders (see `DESIGN.md` §6 on calibration) in one place.
+//! DHE encoders (see [`crate::teacher::trait_seed`]) in one place.
 
 /// SplitMix64 finalizer: a fast, well-distributed 64-bit mixer.
 ///

@@ -1,9 +1,9 @@
 //! Synthetic Criteo-shaped data for the MP-Rec reproduction.
 //!
 //! The paper evaluates on the Criteo Kaggle and Terabyte click logs, which
-//! are not redistributable. Following the substitution rule in `DESIGN.md`
-//! (and the paper's own artifact, which ships a synthetic generator for
-//! characterization), this crate synthesizes datasets with the same shape:
+//! are not redistributable. Like the paper's own artifact, which ships a
+//! synthetic generator for characterization, this crate synthesizes
+//! datasets with the same shape:
 //!
 //! * 13 dense features + 26 sparse features with the **real public
 //!   per-table cardinalities** of Criteo Kaggle (33.76M rows total, 2.16 GB

@@ -186,7 +186,7 @@ impl LoadScenario {
     }
 
     /// The default parameterization per scenario family, as swept by
-    /// `cluster_throughput`.
+    /// the differential tests.
     pub fn default_of(label: &str) -> Option<LoadScenario> {
         match label {
             "steady" => Some(LoadScenario::SteadyPoisson),
@@ -259,7 +259,7 @@ pub struct ChurnEvent {
 /// highest-numbered node fails at 40% of the span, and a fresh node
 /// (id `initial_nodes`) joins at 70% — one full
 /// fail → rebalance → recover → join → rebalance cycle, the schedule
-/// `cluster_throughput --churn` and the differential churn tests run.
+/// the repo benchmark's `cluster_churn` and the churn tests run.
 ///
 /// # Examples
 ///
@@ -418,8 +418,8 @@ impl FaultPlan {
     }
 
     /// The canonical **fault-storm** schedule for an `nodes`-node
-    /// cluster over `span_us` — the fixed plan `cluster_throughput
-    /// --chaos` and the differential chaos tests run: node 0 straggles
+    /// cluster over `span_us` — the fixed plan `tests/serving_contracts.rs`
+    /// and the differential chaos tests run: node 0 straggles
     /// 4x over 30–55% of the span, node 1 (mod n) loses first-attempt
     /// scatter legs over 35–60%, and the highest node stalls outright
     /// over 60–75%.

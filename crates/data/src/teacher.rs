@@ -32,7 +32,7 @@ pub const NUM_TRAIT_FEATURES: usize = 8;
 
 /// The hash seed of trait feature `j`; DHE encoders reuse these seeds for
 /// their first `J` hash functions so the planted shared structure is
-/// expressible (documented substitution, `DESIGN.md` §6).
+/// expressible (the DHE side is `mprec_embed::dhe`'s module docs).
 pub fn trait_seed(j: usize) -> u64 {
     splitmix64(0x1234_5678_9abc_def0u64.wrapping_add(j as u64))
 }

@@ -8,10 +8,10 @@
 //! 2. **Decoder**: an MLP maps the intermediate vector to the final
 //!    embedding.
 //!
-//! Following the calibration scheme in `DESIGN.md` §6, the first
-//! [`mprec_data::teacher::NUM_TRAIT_FEATURES`] hash seeds are the teacher's
-//! trait seeds, so the planted shared structure of the synthetic data is
-//! expressible by the decoder; remaining seeds are pseudo-random.
+//! The first [`mprec_data::teacher::NUM_TRAIT_FEATURES`] hash seeds are
+//! the teacher's trait seeds ([`mprec_data::teacher::trait_seed`]), so the
+//! planted shared structure of the synthetic data is expressible by the
+//! decoder; remaining seeds are pseudo-random.
 
 use mprec_data::teacher::{trait_input, trait_seed, NUM_TRAIT_FEATURES};
 use mprec_data::{splitmix64, uniform_hash_f32};

@@ -30,7 +30,7 @@ impl std::fmt::Display for DeviceKind {
 ///
 /// Columns marked (T1) come from the paper's Table 1; the rest are
 /// mechanism constants calibrated against the paper's reported ratios
-/// (see `EXPERIMENTS.md`).
+/// (printed side by side by `mprec-bench`'s `calibrate_hw` bin).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSpec {
     /// Chip name.

@@ -3,8 +3,7 @@
 //! The paper characterizes embedding representations on real silicon:
 //! Broadwell Xeon CPUs, NVIDIA V100 GPUs, Google TPUv3 (core/chip/board)
 //! and Graphcore GC200 IPUs (chip/board/pod). None of that hardware is
-//! available to a reproduction, so — per the substitution rule in
-//! `DESIGN.md` — this crate models it analytically:
+//! available to a reproduction, so this crate models it analytically:
 //!
 //! * [`DeviceSpec`] carries the Table 1 parameters (cores, frequency, DRAM
 //!   bandwidth/capacity, on-chip SRAM, TDP) plus per-platform mechanism
@@ -22,7 +21,8 @@
 //!   parallelism.
 //!
 //! Constants are calibrated against the paper's reported ratios (Fig. 5,
-//! Fig. 7): see `EXPERIMENTS.md` for paper-vs-model numbers.
+//! Fig. 7): `mprec-bench`'s `calibrate_hw` bin prints paper-vs-model
+//! numbers and `tests/paper_claims.rs` pins the shapes.
 
 mod cost;
 mod device;

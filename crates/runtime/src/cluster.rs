@@ -150,9 +150,9 @@ pub struct ClusterConfig {
     /// Each event starts a new [`ClusterEpoch`].
     pub churn: Vec<ChurnEvent>,
     /// Per-node-id virtual compute budgets (GFLOP/s) enforced by the
-    /// router's backlog accounting; indexed by node id, with missing or
-    /// non-positive entries defaulting to
-    /// [`ClusterConfig::virtual_gflops`]. An undersized node inflates
+    /// router's backlog accounting; indexed by node id, missing entries
+    /// defaulting to [`ClusterConfig::virtual_gflops`], non-finite or
+    /// non-positive ones rejected. An undersized node inflates
     /// every path profile whose scatter targets it, back-pressuring
     /// routing toward cheaper paths.
     pub node_capacity_gflops: Vec<f64>,
@@ -325,12 +325,11 @@ impl Default for ClusterConfig {
 }
 
 /// One simulated node: a full-weight model replica (so any feature can
-/// execute anywhere after a rebalance) plus its capacity budget.
-#[derive(Debug)]
+/// execute anywhere after a rebalance); [`capacity_of`] has its budget.
+#[derive(Debug, Clone)]
 struct ClusterNode {
     id: u32,
     model: Arc<RuntimeModel>,
-    capacity_gflops: f64,
 }
 
 /// One interval of cluster membership between churn events. What the
@@ -700,9 +699,10 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadConfig`] on degenerate configuration —
-    /// zero nodes/workers/batch budget, an unsorted churn schedule,
-    /// failing an unknown or last-remaining node, joining a live node,
-    /// or reusing a node id — and propagates model-construction errors.
+    /// zero nodes/workers/batch budget, a NaN, a non-positive SLA or rate,
+    /// a negative wait or overhead, an unsorted churn schedule, failing an
+    /// unknown or last-remaining node, joining a live node, or reusing a
+    /// node id — and propagates model-construction errors.
     pub fn new(cfg: ClusterConfig) -> Result<Self> {
         let mut cfg = cfg;
         if cfg.tenants.is_enabled() {
@@ -714,20 +714,28 @@ impl Cluster {
                 cfg.model.tenant_zipf = cfg.tenants.tenants.iter().map(|t| t.id_zipf).collect();
             }
         }
-        if cfg.nodes == 0 {
-            return Err(RuntimeError::BadConfig("nodes must be >= 1".into()));
-        }
-        if cfg.workers_per_node == 0 {
-            return Err(RuntimeError::BadConfig(
-                "workers_per_node must be >= 1".into(),
-            ));
-        }
-        if cfg.max_batch_samples == 0 {
-            return Err(RuntimeError::BadConfig(
-                "max_batch_samples must be >= 1".into(),
-            ));
+        let counts = [
+            ("nodes", cfg.nodes),
+            ("workers_per_node", cfg.workers_per_node),
+            ("max_batch_samples", cfg.max_batch_samples),
+        ];
+        if let Some((name, _)) = counts.into_iter().find(|&(_, n)| n == 0) {
+            return Err(RuntimeError::BadConfig(format!("{name} must be >= 1")));
         }
         cfg.chaos.validate().map_err(RuntimeError::BadConfig)?;
+        // What the virtual clock divides by and adds. NaN fails every
+        // comparison; `sla_us: +inf` is a legal "no SLA".
+        let rate_ok = |r: &f64| r.is_finite() && *r > 0.0;
+        let spans = [cfg.max_batch_wait_us, cfg.dispatch_overhead_us, cfg.net_overhead_us, cfg.disk_hit_us];
+        let floats_ok = cfg.sla_us > 0.0
+            && rate_ok(&cfg.virtual_gflops)
+            && cfg.node_capacity_gflops.iter().all(rate_ok)
+            && spans.iter().all(|&v| v >= 0.0);
+        if !floats_ok {
+            return Err(RuntimeError::BadConfig(
+                "sla_us > 0, gflops rates finite and > 0, waits, overheads and disk_hit_us >= 0".into(),
+            ));
+        }
         let mut ids: Vec<u32> = (0..cfg.nodes as u32).collect();
         for ev in &cfg.churn {
             if ev.action == ChurnAction::Join {
@@ -749,7 +757,6 @@ impl Cluster {
             nodes.push(ClusterNode {
                 id,
                 model: Arc::new(model),
-                capacity_gflops: capacity_of(&cfg, id),
             });
         }
         Self::from_parts(cfg, nodes)
@@ -952,15 +959,7 @@ impl Cluster {
         // Reuse the existing replicas (models are pure functions of the
         // seed, so rebuilding them would only waste time); on error the
         // cluster is left exactly as it was.
-        let mut nodes: Vec<ClusterNode> = self
-            .nodes
-            .iter()
-            .map(|n| ClusterNode {
-                id: n.id,
-                model: Arc::clone(&n.model),
-                capacity_gflops: n.capacity_gflops,
-            })
-            .collect();
+        let mut nodes = self.nodes.clone();
         if ev.action == ChurnAction::Join {
             // Match Cluster::new's validation: an id that ever had a
             // replica (initial node or earlier joiner) is never
@@ -976,7 +975,6 @@ impl Cluster {
             nodes.push(ClusterNode {
                 id: ev.node,
                 model: Arc::new(model),
-                capacity_gflops: capacity_of(&cfg, ev.node),
             });
         }
         *self = Self::from_parts(cfg, nodes)?;
@@ -1709,13 +1707,12 @@ pub fn serve_cluster(cfg: ClusterConfig) -> Result<ClusterReport> {
     Cluster::new(cfg)?.serve()
 }
 
-/// The default per-node capacity lookup: entry by node id, falling back
-/// to the uniform `virtual_gflops` budget.
+/// A node's virtual compute budget (GFLOP/s): its entry by node id,
+/// falling back to the uniform `virtual_gflops`.
 fn capacity_of(cfg: &ClusterConfig, id: u32) -> f64 {
     cfg.node_capacity_gflops
         .get(id as usize)
         .copied()
-        .filter(|&c| c > 0.0)
         .unwrap_or(cfg.virtual_gflops)
 }
 
@@ -1814,13 +1811,6 @@ fn build_epoch(
     let model = &nodes[0].model;
     let rate = cfg.virtual_gflops.max(1e-6) * 1e3;
     let distributed = cfg.nodes > 1 || !cfg.churn.is_empty();
-    let capacity = |id: u32| {
-        nodes
-            .iter()
-            .find(|n| n.id == id)
-            .map(|n| n.capacity_gflops)
-            .unwrap_or(cfg.virtual_gflops)
-    };
     let order = path_order(cfg.route);
     let assignments: Vec<Vec<(u32, Arc<Vec<usize>>)>> = order
         .iter()
@@ -1852,7 +1842,7 @@ fn build_epoch(
                 .iter()
                 .map(|(id, feats)| {
                     model.flops_per_sample_features(path, feats)
-                        * (cfg.virtual_gflops / capacity(*id))
+                        * (cfg.virtual_gflops / capacity_of(cfg, *id))
                 })
                 .fold(0.0f64, f64::max);
             (slowest + model.top_flops_per_sample()) / rate
@@ -2126,6 +2116,26 @@ mod tests {
         }
         let at_the_cap = ChaosConfig { max_retries: ChaosConfig::MAX_RETRIES, ..hardened() };
         assert!(Cluster::new(ClusterConfig { chaos: at_the_cap, ..quick_cfg(2) }).is_ok());
+        // A NaN batch deadline used to panic the dispatching thread in
+        // `serve`; a NaN SLA violated nothing, a zero rate everything.
+        let base = || quick_cfg(2);
+        for (what, cfg) in [
+            ("NaN batch wait", ClusterConfig { max_batch_wait_us: f64::NAN, ..base() }),
+            ("negative batch wait", ClusterConfig { max_batch_wait_us: -1.0, ..base() }),
+            ("NaN sla", ClusterConfig { sla_us: f64::NAN, ..base() }),
+            ("zero sla", ClusterConfig { sla_us: 0.0, ..base() }),
+            ("zero rate", ClusterConfig { virtual_gflops: 0.0, ..base() }),
+            ("negative rate", ClusterConfig { virtual_gflops: -1.0, ..base() }),
+            ("infinite rate", ClusterConfig { virtual_gflops: f64::INFINITY, ..base() }),
+            ("NaN dispatch overhead", ClusterConfig { dispatch_overhead_us: f64::NAN, ..base() }),
+            ("negative net overhead", ClusterConfig { net_overhead_us: -5.0, ..base() }),
+            ("NaN disk penalty", ClusterConfig { disk_hit_us: f64::NAN, ..base() }),
+            ("NaN capacity", ClusterConfig { node_capacity_gflops: vec![0.5, f64::NAN], ..base() }),
+            ("zero capacity", ClusterConfig { node_capacity_gflops: vec![0.0], ..base() }),
+        ] {
+            assert!(matches!(Cluster::new(cfg), Err(RuntimeError::BadConfig(_))), "{what}");
+        }
+        assert!(Cluster::new(ClusterConfig { sla_us: f64::INFINITY, ..base() }).is_ok(), "no SLA");
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub struct TenantReport {
     /// Sum of virtual latencies (µs) over completed queries.
     pub latency_sum_us: f64,
     /// Virtual-latency histogram over completed queries (per-tenant
-    /// p50/p95/p99 for the bench artifacts and isolation metrics).
+    /// p50/p95/p99 for the benchmark and isolation metrics).
     pub virtual_histogram: LatencyHistogram,
 }
 

@@ -572,42 +572,6 @@ impl RuntimeModel {
         Ok(())
     }
 
-    /// The pre-optimization execution path, kept as the baseline the
-    /// `kernel_throughput` bench and the equivalence tests compare
-    /// against: fresh `Vec`/`Matrix` allocations per batch, no gather
-    /// dedup, per-batch cache allocation, allocating MLP inference.
-    /// Combine with [`mprec_tensor::kernels::set_global_kernel`]
-    /// (`Kernel::Naive`) to reproduce the original scalar GEMMs too.
-    ///
-    /// # Errors
-    ///
-    /// Propagates table/stack/MLP execution errors.
-    pub fn execute_naive(&self, path: PathKind, queries: &[(u64, u64)]) -> Result<BatchResult> {
-        let total: u64 = queries.iter().map(|&(_, s)| s).sum();
-        if total == 0 {
-            return Ok(BatchResult { samples: 0, checksum: 0.0 });
-        }
-        let f = self.cfg.sparse_features;
-        let mut per_feature: Vec<Vec<u64>> =
-            (0..f).map(|_| Vec::with_capacity(total as usize)).collect();
-        for &(qid, size) in queries {
-            self.draw_query_ids(qid, size, &mut per_feature);
-        }
-        let mut pooled = Matrix::zeros(total as usize, self.cfg.emb_dim);
-        for (feature, ids) in per_feature.iter().enumerate() {
-            let emb = if self.path_uses_dhe(path, feature) {
-                self.cache
-                    .embed_batch(&self.stacks[feature], feature, ids)?
-            } else {
-                self.tables[feature].forward(ids)?
-            };
-            pooled.add_assign(&emb)?;
-        }
-        let scores = self.top.infer(&pooled)?;
-        let checksum = scores.as_slice().iter().map(|&v| v as f64).sum();
-        Ok(BatchResult { samples: total, checksum })
-    }
-
     /// Analytic embedding FLOPs per sample for one feature on `path`:
     /// a table gather + pooling add, or the DHE encoder hashes + decoder
     /// GEMMs, depending on the path's feature assignment.
@@ -716,6 +680,30 @@ mod tests {
         let a = m.execute(PathKind::Table, &[(0, 4)]).unwrap();
         let b = m.execute(PathKind::Table, &[(1, 6)]).unwrap();
         assert!((together.checksum - (a.checksum + b.checksum)).abs() < 1e-6);
+    }
+
+    impl RuntimeModel {
+        /// The allocating reference for `execute_with`: fresh buffers per
+        /// batch, no gather dedup, allocating cache and MLP inference.
+        fn execute_naive(&self, path: PathKind, queries: &[(u64, u64)]) -> Result<BatchResult> {
+            let total: u64 = queries.iter().map(|&(_, s)| s).sum();
+            let mut per_feature: Vec<Vec<u64>> = vec![Vec::new(); self.cfg.sparse_features];
+            for &(qid, size) in queries {
+                self.draw_query_ids(qid, size, &mut per_feature);
+            }
+            let mut pooled = Matrix::zeros(total as usize, self.cfg.emb_dim);
+            for (feature, ids) in per_feature.iter().enumerate() {
+                let emb = if self.path_uses_dhe(path, feature) {
+                    self.cache.embed_batch(&self.stacks[feature], feature, ids)?
+                } else {
+                    self.tables[feature].forward(ids)?
+                };
+                pooled.add_assign(&emb)?;
+            }
+            let scores = self.top.infer(&pooled)?;
+            let checksum = scores.as_slice().iter().map(|&v| v as f64).sum();
+            Ok(BatchResult { samples: total, checksum })
+        }
     }
 
     #[test]

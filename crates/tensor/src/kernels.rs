@@ -4,14 +4,16 @@
 //!
 //! * [`Kernel::Naive`] — the original scalar loops (`ikj` streaming for
 //!   `nn`/`tn`, sequential dot products for `nt`). Kept as the reference
-//!   the tiled kernels are property-tested against and as the baseline
-//!   the `kernel_throughput` bench compares to.
+//!   the tiled kernels are property-tested against and the baseline
+//!   `benches/micro.rs` compares to; reached only through the explicit
+//!   `*_with` methods.
 //! * [`Kernel::Tiled`] — register-blocked, tiled kernels: the output is
 //!   produced in 6-row × 16-column micro-tiles whose 96 accumulators
 //!   live in vector registers for the whole `k` loop, streaming `B` row
 //!   by row so each loaded `B` vector is reused by 6 fused
 //!   multiply-adds instead of 1 and `C` is written exactly once. The
-//!   16-wide accumulator rows auto-vectorize.
+//!   16-wide accumulator rows auto-vectorize. Every plain `matmul*`
+//!   method runs on this kernel.
 //!
 //! The kernels operate on row-major `&[f32]` buffers so they stay free of
 //! `Matrix` internals; shape checking is the caller's job.
@@ -21,8 +23,6 @@
 //! variant splits its dot products across 8 partial accumulators, so
 //! results can differ from `Naive` by normal reassociation error (the
 //! equivalence property tests in `tests/kernel_equivalence.rs` bound it).
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which GEMM implementation [`crate::Matrix`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -40,31 +40,6 @@ impl std::fmt::Display for Kernel {
             Kernel::Naive => write!(f, "naive"),
             Kernel::Tiled => write!(f, "tiled"),
         }
-    }
-}
-
-/// Process-wide default kernel used by the plain `matmul*` methods.
-///
-/// `0 = Naive`, `1 = Tiled`. Benchmarks flip this to measure both ends of
-/// the whole stack without threading a selector through every layer.
-static GLOBAL_KERNEL: AtomicU8 = AtomicU8::new(1);
-
-/// Sets the process-wide default kernel.
-///
-/// Intended for benchmarks that want `Matrix::matmul` (and everything
-/// built on it — MLP inference, DHE decoding) to run on a specific
-/// implementation. Tests that need a fixed kernel should prefer the
-/// explicit `*_with` methods: the global is process-wide state shared by
-/// concurrently running tests.
-pub fn set_global_kernel(kernel: Kernel) {
-    GLOBAL_KERNEL.store(kernel as u8, Ordering::Relaxed);
-}
-
-/// The process-wide default kernel (see [`set_global_kernel`]).
-pub fn global_kernel() -> Kernel {
-    match GLOBAL_KERNEL.load(Ordering::Relaxed) {
-        0 => Kernel::Naive,
-        _ => Kernel::Tiled,
     }
 }
 
@@ -433,10 +408,11 @@ mod tests {
 
     #[test]
     fn default_kernel_is_tiled() {
-        // The set/get roundtrip lives in tests/global_kernel.rs: flipping
-        // the process-wide default here would race sibling unit tests
-        // that call the plain matmul methods.
-        assert_eq!(global_kernel(), Kernel::Tiled);
+        // The plain `matmul*` methods are the `*_with(.., Tiled)` forms:
+        // bit-equal on a shape with row, column and depth remainders.
         assert_eq!(Kernel::default(), Kernel::Tiled);
+        let a = crate::Matrix::from_vec(7, 19, seq(7 * 19, 0.25)).unwrap();
+        let b = crate::Matrix::from_vec(19, 21, seq(19 * 21, 0.5)).unwrap();
+        assert_eq!(a.matmul(&b).unwrap(), a.matmul_with(&b, Kernel::Tiled).unwrap());
     }
 }

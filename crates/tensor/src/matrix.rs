@@ -194,13 +194,13 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// `C = A * B` (standard GEMM) on the process-default [`Kernel`].
+    /// `C = A * B` (standard GEMM) on the default [`Kernel::Tiled`].
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_with(rhs, kernels::global_kernel())
+        self.matmul_with(rhs, Kernel::Tiled)
     }
 
     /// `C = A * B` on an explicit [`Kernel`].
@@ -215,13 +215,13 @@ impl Matrix {
     }
 
     /// `C = A * B` into a caller-provided buffer (resized as needed) on
-    /// the process-default [`Kernel`]. `out` is fully overwritten.
+    /// the default [`Kernel::Tiled`]. `out` is fully overwritten.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
-        self.matmul_into_with(rhs, out, kernels::global_kernel())
+        self.matmul_into_with(rhs, out, Kernel::Tiled)
     }
 
     /// `C = A * B` into a caller-provided buffer on an explicit [`Kernel`].
@@ -248,7 +248,7 @@ impl Matrix {
         Ok(())
     }
 
-    /// `C = A * B^T` on the process-default [`Kernel`].
+    /// `C = A * B^T` on the default [`Kernel::Tiled`].
     ///
     /// This is the shape used by MLP backward passes (`dX = dY * W^T` with
     /// `W` stored as `in x out`... the caller picks the variant that avoids
@@ -258,7 +258,7 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_nt_with(rhs, kernels::global_kernel())
+        self.matmul_nt_with(rhs, Kernel::Tiled)
     }
 
     /// `C = A * B^T` on an explicit [`Kernel`].
@@ -278,7 +278,7 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
-        self.matmul_nt_into_with(rhs, out, kernels::global_kernel())
+        self.matmul_nt_into_with(rhs, out, Kernel::Tiled)
     }
 
     /// `C = A * B^T` into a caller-provided buffer on an explicit [`Kernel`].
@@ -305,7 +305,7 @@ impl Matrix {
         Ok(())
     }
 
-    /// `C = A^T * B` on the process-default [`Kernel`].
+    /// `C = A^T * B` on the default [`Kernel::Tiled`].
     ///
     /// Used for weight gradients (`dW = X^T * dY`).
     ///
@@ -313,7 +313,7 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_tn_with(rhs, kernels::global_kernel())
+        self.matmul_tn_with(rhs, Kernel::Tiled)
     }
 
     /// `C = A^T * B` on an explicit [`Kernel`].
@@ -333,7 +333,7 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
     pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
-        self.matmul_tn_into_with(rhs, out, kernels::global_kernel())
+        self.matmul_tn_into_with(rhs, out, Kernel::Tiled)
     }
 
     /// `C = A^T * B` into a caller-provided buffer on an explicit [`Kernel`].

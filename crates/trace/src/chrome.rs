@@ -23,6 +23,21 @@ fn esc(s: &str) -> String {
     out
 }
 
+/// An `f64` as a JSON number. JSON has no literal for a non-finite
+/// value (an `sla_us: +inf` run has an infinite remaining budget), so
+/// those are written `null`.
+struct Num(f64);
+
+impl std::fmt::Display for Num {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
 fn event_name(e: &TraceEvent, labels: &[String]) -> String {
     match e.kind {
         EventKind::Enqueue => format!("enqueue q{}", e.id),
@@ -60,14 +75,14 @@ fn event_args(e: &TraceEvent, labels: &[String]) -> String {
             let _ = write!(
                 args,
                 "\"batch\":{},\"queries\":{},\"samples\":{},\"oldest_arrival_us\":{}",
-                e.id, e.a, e.b, e.arg
+                e.id, e.a, e.b, Num(e.arg)
             );
         }
         EventKind::RouteDecision => {
             let _ = write!(
                 args,
                 "\"batch\":{},\"epoch\":{},\"sla_remaining_us\":{},\"chosen\":{},\"costs\":{{",
-                e.id, e.b, e.arg, e.chosen
+                e.id, e.b, Num(e.arg), e.chosen
             );
             let mut first = true;
             for (idx, cost) in e.costs.iter().enumerate() {
@@ -86,7 +101,7 @@ fn event_args(e: &TraceEvent, labels: &[String]) -> String {
             let _ = write!(args, "\"batch\":{},\"node\":{},\"epoch\":{}", e.id, e.node, e.b);
         }
         EventKind::Execute => {
-            let _ = write!(args, "\"batch\":{},\"epoch\":{},\"done_us\":{}", e.id, e.b, e.arg);
+            let _ = write!(args, "\"batch\":{},\"epoch\":{},\"done_us\":{}", e.id, e.b, Num(e.arg));
         }
         EventKind::NodeExecute => {
             let _ = write!(
@@ -102,7 +117,7 @@ fn event_args(e: &TraceEvent, labels: &[String]) -> String {
             let _ = write!(args, "\"batch\":{},\"samples\":{}", e.id, e.a);
         }
         EventKind::Complete => {
-            let _ = write!(args, "\"query\":{},\"batch\":{},\"latency_us\":{}", e.id, e.b, e.arg);
+            let _ = write!(args, "\"query\":{},\"batch\":{},\"latency_us\":{}", e.id, e.b, Num(e.arg));
         }
         EventKind::EpochBarrier => {
             let _ = write!(
@@ -134,14 +149,14 @@ fn event_args(e: &TraceEvent, labels: &[String]) -> String {
             let _ = write!(
                 args,
                 "\"batch\":{},\"node\":{},\"attempt\":{},\"timeout_us\":{}",
-                e.id, e.node, e.a, e.arg
+                e.id, e.node, e.a, Num(e.arg)
             );
         }
         EventKind::Hedge => {
             let _ = write!(args, "\"batch\":{},\"primary\":{},\"target\":{}", e.id, e.a, e.node);
         }
         EventKind::Shed => {
-            let _ = write!(args, "\"query\":{},\"samples\":{},\"backlog_us\":{}", e.id, e.a, e.arg);
+            let _ = write!(args, "\"query\":{},\"samples\":{},\"backlog_us\":{}", e.id, e.a, Num(e.arg));
         }
     }
     args.push('}');
@@ -188,12 +203,12 @@ pub fn chrome_trace_json(rec: &TraceRecording) -> String {
             let line = match e.kind {
                 EventKind::Execute | EventKind::NodeExecute => format!(
                     "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{args}}}",
-                    e.t_us,
-                    (e.arg - e.t_us).max(0.0)
+                    Num(e.t_us),
+                    Num((e.arg - e.t_us).max(0.0))
                 ),
                 _ => format!(
                     "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"args\":{args}}}",
-                    e.t_us
+                    Num(e.t_us)
                 ),
             };
             push(&mut out, line);
@@ -218,7 +233,23 @@ fn scan_syntax(json: &str) -> Result<(), String> {
     let mut depth: Vec<u8> = Vec::new();
     let mut in_str = false;
     let mut escaped = false;
-    for (pos, c) in json.char_indices() {
+    // Start of the run of letters being scanned outside a string. The
+    // only legal ones are JSON's three literals and a number's exponent
+    // mark: a bare `inf` / `NaN` (what `{}` prints for a non-finite
+    // `f64`) is not JSON, though `str::parse::<f64>` accepts it. The
+    // chained space ends a word the input ends on.
+    let mut word: Option<usize> = None;
+    for (pos, c) in json.char_indices().chain([(json.len(), ' ')]) {
+        if !in_str && c.is_ascii_alphabetic() {
+            word.get_or_insert(pos);
+            continue;
+        }
+        if let Some(start) = word.take() {
+            let w = &json[start..pos];
+            if !matches!(w, "true" | "false" | "null" | "e" | "E") {
+                return Err(format!("bare token '{w}' at byte {start}"));
+            }
+        }
         if in_str {
             if escaped {
                 escaped = false;
@@ -270,10 +301,10 @@ fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
 
 /// Minimal schema check for an exported Chrome trace, per the CI
 /// trace-smoke contract: syntactically valid JSON (balanced structure,
-/// well-formed strings), a `traceEvents` array, **monotonic virtual
-/// timestamps per track** (`ts` non-decreasing per `tid` in file
-/// order), and at least one route-decision event. Returns extraction
-/// counters on success.
+/// well-formed strings, no bare `inf` / `NaN` where a number goes), a
+/// `traceEvents` array, **monotonic virtual timestamps per track** (`ts`
+/// non-decreasing per `tid` in file order), and at least one
+/// route-decision event. Returns extraction counters on success.
 pub fn validate_chrome_json(json: &str) -> Result<ChromeSummary, String> {
     scan_syntax(json)?;
     if !json.trim_start().starts_with('{') {
@@ -408,6 +439,37 @@ mod tests {
         rec.push_ring("dispatcher", ring);
         let json = chrome_trace_json(&rec);
         validate_chrome_json(&json).expect("sorted export is monotonic");
+    }
+
+    #[test]
+    fn export_writes_non_finite_numbers_as_null() {
+        // `sla_us: f64::INFINITY` ("no SLA") leaves every route decision
+        // an infinite remaining budget.
+        let mut rec = TraceRecording::new(vec!["table".into()]);
+        let mut ring = EventRing::with_capacity(4);
+        ring.record(TraceEvent::route_decision(5.0, 0, 1, 0, f64::INFINITY, 0, &[7.0]));
+        ring.record(TraceEvent::complete(9.0, 1, 0, f64::NAN));
+        rec.push_ring("dispatcher", ring);
+        let json = chrome_trace_json(&rec);
+        assert!(json.contains("\"sla_remaining_us\":null"), "{json}");
+        assert!(json.contains("\"latency_us\":null"), "{json}");
+        validate_chrome_json(&json).expect("no bare inf / NaN in the export");
+    }
+
+    #[test]
+    fn validator_rejects_bare_non_finite_tokens() {
+        let with = |ts: &str, remaining: &str| {
+            format!(
+                "{{\"traceEvents\":[{{\"ph\":\"i\",\"cat\":\"route_decision\",\"tid\":0,\
+                 \"ts\":{ts},\"args\":{{\"sla_remaining_us\":{remaining},\"note\":\"inf NaN\"}}}}]}}"
+            )
+        };
+        validate_chrome_json(&with("5.0", "1e3")).expect("letters in strings and exponents are fine");
+        validate_chrome_json(&with("5.0", "null")).expect("null is JSON");
+        for (ts, remaining) in [("inf", "1"), ("5.0", "inf"), ("5.0", "-inf"), ("5.0", "NaN")] {
+            let err = validate_chrome_json(&with(ts, remaining)).unwrap_err();
+            assert!(err.contains("bare token"), "ts {ts}, remaining {remaining}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Paper-claim regression tests: the headline quantitative shapes the
 //! reproduction must preserve (capacities, latency ratios, serving wins).
-//! These are the fast, deterministic subset; the full numbers live in
-//! `EXPERIMENTS.md` and regenerate via `mprec-bench`.
+//! These are the fast, deterministic subset; the full numbers regenerate
+//! via the `mprec-bench` figure/table binaries.
 
 use mprec::core::candidates::{default_accuracy_book, paper_candidates, RepRole};
 use mprec::core::planner::plan;
