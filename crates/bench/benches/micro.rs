@@ -112,7 +112,7 @@ fn bench_scheduler(c: &mut Criterion) {
     c.bench_function("scheduler_route", |bench| {
         bench.iter_batched(
             || Scheduler::new(maps.clone(), SchedulerConfig::default()),
-            |mut s| s.route(128, 10_000.0, 0),
+            |mut s| s.route(128, 10_000.0),
             BatchSize::SmallInput,
         )
     });

@@ -38,7 +38,7 @@
 //! let platforms = vec![Platform::cpu(), Platform::gpu()];
 //! let mappings = plan(&candidates, &platforms)?;
 //! let mut sched = Scheduler::new(mappings, SchedulerConfig::default());
-//! let decision = sched.route(128, 10_000.0, 0);
+//! let decision = sched.route(128, 10_000.0);
 //! assert!(decision.is_some());
 //! # Ok::<(), mprec_core::CoreError>(())
 //! ```

@@ -100,12 +100,10 @@ impl Scheduler {
     }
 
     /// Algorithm 2: route a query of `size` samples under `sla_us`.
-    ///
-    /// `min_accuracy` filters paths (0.0 = no filter). Returns `None` only
-    /// when the mapping set is empty.
-    pub fn route(&mut self, size: u64, sla_us: f64, min_accuracy: u32) -> Option<RouteDecision> {
+    /// Returns `None` only when the mapping set is empty.
+    pub fn route(&mut self, size: u64, sla_us: f64) -> Option<RouteDecision> {
         let mut completions = Vec::new();
-        self.route_into(size, sla_us, min_accuracy, &mut completions)
+        self.route_into(size, sla_us, &mut completions)
     }
 
     /// [`route`](Self::route), but additionally exposes every
@@ -118,10 +116,8 @@ impl Scheduler {
         &mut self,
         size: u64,
         sla_us: f64,
-        min_accuracy: u32,
         completions: &mut Vec<f64>,
     ) -> Option<RouteDecision> {
-        let _ = min_accuracy;
         self.route_classed_into(size, sla_us, &[], f64::INFINITY, f64::INFINITY, completions)
     }
 
@@ -197,7 +193,7 @@ impl Scheduler {
     /// set is empty.
     pub fn dispatch(&mut self, size: u64, sla_us: f64) -> Result<(RouteDecision, f64)> {
         let d = self
-            .route(size, sla_us, 0)
+            .route(size, sla_us)
             .ok_or(crate::CoreError::NoFeasibleMapping)?;
         let done = self.commit(&d);
         Ok((d, done))
@@ -354,14 +350,14 @@ mod tests {
     #[test]
     fn loose_sla_activates_hybrid() {
         let mut s = Scheduler::new(toy_mappings(), SchedulerConfig::default());
-        let d = s.route(128, 10_000.0, 0).unwrap();
+        let d = s.route(128, 10_000.0).unwrap();
         assert_eq!(d.accuracy, 0.79, "hybrid should win under a loose SLA");
     }
 
     #[test]
     fn tight_sla_falls_back_to_table() {
         let mut s = Scheduler::new(toy_mappings(), SchedulerConfig::default());
-        let d = s.route(128, 2_000.0, 0).unwrap();
+        let d = s.route(128, 2_000.0).unwrap();
         assert_eq!(d.accuracy, 0.78);
         assert!(d.exec_us <= 1_000.0);
     }
@@ -375,7 +371,7 @@ mod tests {
             assert_eq!(d.accuracy, 0.79);
         }
         // GPU backlog is now ~24 ms; a 10 ms SLA query must use a table.
-        let d = s.route(128, 10_000.0, 0).unwrap();
+        let d = s.route(128, 10_000.0).unwrap();
         assert_eq!(d.accuracy, 0.78);
     }
 
@@ -395,7 +391,7 @@ mod tests {
             ..SchedulerConfig::default()
         };
         let mut s = Scheduler::new(toy_mappings(), cfg);
-        let d = s.route(128, 100_000.0, 0).unwrap();
+        let d = s.route(128, 100_000.0).unwrap();
         assert_eq!(d.exec_us, 500.0, "fastest table path (GPU) expected");
     }
 
@@ -423,7 +419,7 @@ mod tests {
         // Algorithm 2 line 7: default to the table path even when the SLA
         // cannot be met (the query will just violate).
         let mut s = Scheduler::new(toy_mappings(), SchedulerConfig::default());
-        let d = s.route(4096, 1.0, 0).unwrap();
+        let d = s.route(4096, 1.0).unwrap();
         assert_eq!(d.accuracy, 0.78);
     }
 

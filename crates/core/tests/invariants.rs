@@ -46,7 +46,7 @@ proptest! {
         let set = plan(&cands, &platforms).unwrap();
         let n = set.mappings.len();
         let mut sched = Scheduler::new(set, SchedulerConfig::default());
-        let d = sched.route(size, sla_ms * 1000.0, 0).unwrap();
+        let d = sched.route(size, sla_ms * 1000.0).unwrap();
         prop_assert!(d.mapping_idx < n);
         prop_assert!(d.platform_idx < 2);
         prop_assert!(d.exec_us > 0.0);

@@ -11,9 +11,8 @@
 //!   ([`FeatureShardPlan`] over [`mprec_core::ring::HashRing`])
 //!   partitions the sparse-feature space — each node owns the embedding
 //!   tables, DHE stacks, and `ShardedMpCache` state of its features
-//!   only. Node churn ([`ClusterConfig::churn`], or the
-//!   [`Cluster::fail_node`] / [`Cluster::add_node`] schedule builders)
-//!   re-owns only the ~K/N remapped features, computed incrementally
+//!   only. Node churn ([`ClusterConfig::churn`]) re-owns only the ~K/N
+//!   remapped features, computed incrementally
 //!   through the ring's remap-diff API ([`HashRing::diff`] +
 //!   [`FeatureShardPlan::apply`]);
 //! * a **front-end** micro-batches queries per tenant and routes each
@@ -61,9 +60,15 @@
 //! ```
 //! use mprec_runtime::{Cluster, ClusterConfig, RuntimeModelConfig};
 //! use mprec_data::query::QueryTraceConfig;
+//! use mprec_data::scenario::{ChurnAction, ChurnEvent};
 //!
-//! let mut cluster = Cluster::new(ClusterConfig {
+//! let cluster = Cluster::new(ClusterConfig {
 //!     nodes: 3,
+//!     churn: vec![
+//!         // node 2 dies 10ms in, a cold node joins at 20ms
+//!         ChurnEvent { at_us: 10_000.0, node: 2, action: ChurnAction::Fail },
+//!         ChurnEvent { at_us: 20_000.0, node: 3, action: ChurnAction::Join },
+//!     ],
 //!     trace: QueryTraceConfig {
 //!         num_queries: 150,
 //!         mean_size: 4.0,
@@ -85,8 +90,6 @@
 //!     },
 //!     ..ClusterConfig::default()
 //! })?;
-//! cluster.fail_node(2, 10_000.0)?; // node 2 dies 10ms in
-//! cluster.add_node(3, 20_000.0)?; // a cold node joins at 20ms
 //! assert_eq!(cluster.epochs().len(), 3);
 //!
 //! let report = cluster.serve()?;
@@ -123,7 +126,7 @@ use parking_lot::{Condvar, Mutex};
 pub use mprec_core::ring::FeatureShardPlan;
 
 use crate::engine::{build_path_mappings, PathAccuracy, RoutePolicy, TenantReport};
-use crate::histogram::{LatencyHistogram, DEFAULT_SUBS_PER_OCTAVE};
+use crate::histogram::LatencyHistogram;
 use crate::model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};
 use crate::queue::BoundedQueue;
 use crate::{Result, RuntimeError};
@@ -132,12 +135,11 @@ use crate::{Result, RuntimeError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of initial nodes (ids `0..nodes`), each with its own
-    /// worker pool, model replica, and cache state.
+    /// worker pool and cache state over the one shared set of weights.
     pub nodes: usize,
-    /// Worker threads per node.
+    /// Worker threads per node; each node's work queue holds four jobs
+    /// per worker before a push blocks the front-end.
     pub workers_per_node: usize,
-    /// Virtual points per node on the consistent-hash ring.
-    pub vnodes: usize,
     /// MP-Cache shard count *inside* each node.
     pub cache_shards: usize,
     /// Query trace shape (sizes, arrivals, QPS).
@@ -164,8 +166,6 @@ pub struct ClusterConfig {
     pub max_batch_samples: usize,
     /// Micro-batch deadline (µs after the oldest pending arrival).
     pub max_batch_wait_us: f64,
-    /// Per-node work-queue depth (0 = `4 * workers_per_node`).
-    pub queue_depth: usize,
     /// Pace ingress to the trace's arrival times (open-loop) instead of
     /// feeding as fast as the cluster drains (throughput mode).
     pub pace_ingress: bool,
@@ -189,9 +189,6 @@ pub struct ClusterConfig {
     pub disk_hit_us: f64,
     /// Per-path accuracy book.
     pub accuracy: PathAccuracy,
-    /// Per-node latency histogram resolution (sub-buckets per octave);
-    /// the merged report adopts it.
-    pub histogram_subs: u32,
     /// Flight-recorder config: when enabled, the dispatcher, every node
     /// worker, and the merger each record the query lifecycle into a
     /// preallocated per-track [`EventRing`], assembled into
@@ -220,7 +217,7 @@ pub struct ClusterConfig {
     /// accounted in [`ClusterReport::tenants`]. Empty (the default)
     /// keeps the legacy single-stream trace bit for bit.
     pub tenants: TrafficConfig,
-    /// Model shape (replicated weights, sharded execution).
+    /// Model shape (shared weights, sharded execution).
     pub model: RuntimeModelConfig,
 }
 
@@ -242,12 +239,9 @@ pub struct RebalanceConfig {
     /// the old owners ship the chunk's warm entries — dynamic *and*
     /// disk tier — then ownership flips, so reads before the flip keep
     /// hitting the old owner's warm cache and the joiner never serves a
-    /// feature it has no state for.
+    /// feature it has no state for. Flips are 500 µs of virtual time
+    /// apart, closer when the next churn event leaves less room.
     pub streaming_chunks: usize,
-    /// Virtual-time spacing between consecutive chunk flips (µs). The
-    /// schedule is compressed automatically so every flip (and the
-    /// drain, if any) lands strictly before the next churn event.
-    pub chunk_interval_us: f64,
     /// Virtual time after a join's last plan flip at which the joiner's
     /// [`ClusterConfig::disk_hit_us`] penalty is lifted — by then its
     /// warm-started disk tier has drained into RAM. `0` keeps the
@@ -273,7 +267,6 @@ impl Default for RebalanceConfig {
     fn default() -> Self {
         RebalanceConfig {
             streaming_chunks: 0,
-            chunk_interval_us: 500.0,
             drain_us: 0.0,
             adaptive: false,
             adaptive_threshold_us: 2_000.0,
@@ -288,7 +281,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 4,
             workers_per_node: 1,
-            vnodes: DEFAULT_VNODES,
             cache_shards: 16,
             trace: QueryTraceConfig {
                 num_queries: 10_000,
@@ -305,7 +297,6 @@ impl Default for ClusterConfig {
             sla_us: 10_000.0,
             max_batch_samples: 256,
             max_batch_wait_us: 2_000.0,
-            queue_depth: 0,
             pace_ingress: false,
             route: RoutePolicy::MpRec,
             virtual_gflops: 2.0,
@@ -313,7 +304,6 @@ impl Default for ClusterConfig {
             net_overhead_us: 150.0,
             disk_hit_us: 2.0,
             accuracy: PathAccuracy::default(),
-            histogram_subs: DEFAULT_SUBS_PER_OCTAVE,
             recorder: TraceConfig::default(),
             faults: FaultPlan::default(),
             chaos: ChaosConfig::default(),
@@ -324,8 +314,8 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One simulated node: a full-weight model replica (so any feature can
-/// execute anywhere after a rebalance); [`capacity_of`] has its budget.
+/// One simulated node: its own MP-Cache over the weights all nodes share
+/// (so any feature can execute anywhere); [`capacity_of`] has its budget.
 #[derive(Debug, Clone)]
 struct ClusterNode {
     id: u32,
@@ -431,8 +421,7 @@ pub struct ClusterReport {
     pub per_node_features: Vec<usize>,
     /// Scatter jobs executed per replica (summed over its workers).
     pub per_node_batches: Vec<u64>,
-    /// Merged measured-latency histogram (at the configured
-    /// resolution).
+    /// Merged measured-latency histogram.
     pub histogram: LatencyHistogram,
     /// Deterministic virtual-time latency histogram: per query,
     /// completion minus arrival — for retried batches the *full*
@@ -554,9 +543,9 @@ struct MergerReport {
 impl MergerReport {
     /// An empty report; the ring (if any) preallocates here, before the
     /// first batch, so steady-state recording never allocates.
-    fn new(histogram_subs: u32, start: Instant, recorder: TraceConfig) -> Self {
+    fn new(start: Instant, recorder: TraceConfig) -> Self {
         MergerReport {
-            histogram: LatencyHistogram::with_subs_per_octave(histogram_subs),
+            histogram: LatencyHistogram::new(),
             completed: 0,
             samples: 0,
             measured_violations: 0,
@@ -667,8 +656,8 @@ enum RebalanceAction {
     PenaltyLift,
 }
 
-/// The elastic feature-sharded multi-node serving runtime: build once
-/// (optionally scheduling churn), serve a trace.
+/// The elastic feature-sharded multi-node serving runtime: build once,
+/// serve a trace.
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -748,27 +737,24 @@ impl Cluster {
                 ids.push(ev.node);
             }
         }
-        let mut nodes = Vec::with_capacity(ids.len());
+        // One set of weights, so feature f computes the same wherever a
+        // rebalance lands it; only the cache (dynamic tier, disk tier,
+        // counters) is a node's own.
+        let mut nodes: Vec<ClusterNode> = Vec::with_capacity(ids.len());
         for id in ids {
-            // Same seed on every node: feature f's table/stack weights
-            // are identical wherever f lands, so sharded execution
-            // reproduces single-node math even after a rebalance.
-            let model = RuntimeModel::build(&cfg.model, cfg.cache_shards, cfg.seed)?;
+            let model = match nodes.first() {
+                None => RuntimeModel::build(&cfg.model, cfg.cache_shards, cfg.seed)?,
+                Some(boot) => boot.model.replica()?,
+            };
             nodes.push(ClusterNode {
                 id,
                 model: Arc::new(model),
             });
         }
-        Self::from_parts(cfg, nodes)
-    }
 
-    /// Rebuilds epochs over existing replicas (used by `new` and the
-    /// [`Cluster::fail_node`] / [`Cluster::add_node`] schedule
-    /// builders).
-    fn from_parts(cfg: ClusterConfig, nodes: Vec<ClusterNode>) -> Result<Self> {
         let features = cfg.model.sparse_features;
         let rb = cfg.rebalance;
-        let mut ring = HashRing::with_nodes(cfg.vnodes, 0..cfg.nodes as u32);
+        let mut ring = HashRing::with_nodes(DEFAULT_VNODES, 0..cfg.nodes as u32);
         let mut plan = FeatureShardPlan::new(&ring, features);
         let mut epochs = Vec::with_capacity(cfg.churn.len() + 1);
         let mut events: Vec<ClusterChurnSpec> = Vec::new();
@@ -842,11 +828,10 @@ impl Cluster {
                         // chunk by chunk, each flip preceded by the old
                         // owners shipping that chunk's warm entries.
                         let chunks = diff.chunked(rb.streaming_chunks);
-                        let step = if budget.is_finite() {
-                            rb.chunk_interval_us.min(budget / (chunks.len() + 2) as f64)
-                        } else {
-                            rb.chunk_interval_us
-                        };
+                        // Flip spacing, compressed so every flip (and the
+                        // drain, if any) lands strictly before the next event.
+                        const CHUNK_INTERVAL_US: f64 = 500.0;
+                        let step = CHUNK_INTERVAL_US.min(budget / (chunks.len() + 2) as f64);
                         let moves = diff.moves().len() as u64;
                         schedule(ev.at_us, RebalanceAction::WindowOpen { node: ev.node, moves });
                         plan.begin_handoff(&diff);
@@ -915,70 +900,6 @@ impl Cluster {
             ring,
             adaptive: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Schedules a node failure at virtual time `at_us` (after every
-    /// already-scheduled event) and rebuilds the epoch sequence. The
-    /// failed node's features remap to the survivors; batches in flight
-    /// to it at the failure instant are retried on the new owners with
-    /// the failure charged to virtual time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::BadConfig`] if the node is not live at
-    /// `at_us`, is the last live node, or `at_us` does not extend the
-    /// schedule.
-    pub fn fail_node(&mut self, node: u32, at_us: f64) -> Result<()> {
-        self.push_event(ChurnEvent {
-            at_us,
-            node,
-            action: ChurnAction::Fail,
-        })
-    }
-
-    /// Schedules a fresh node joining at virtual time `at_us` (after
-    /// every already-scheduled event) and rebuilds the epoch sequence.
-    /// The joiner takes ownership of ~K/N features and starts with a
-    /// cold cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::BadConfig`] if the id is already in use
-    /// or `at_us` does not extend the schedule.
-    pub fn add_node(&mut self, node: u32, at_us: f64) -> Result<()> {
-        self.push_event(ChurnEvent {
-            at_us,
-            node,
-            action: ChurnAction::Join,
-        })
-    }
-
-    fn push_event(&mut self, ev: ChurnEvent) -> Result<()> {
-        let mut cfg = self.cfg.clone();
-        cfg.churn.push(ev);
-        // Reuse the existing replicas (models are pure functions of the
-        // seed, so rebuilding them would only waste time); on error the
-        // cluster is left exactly as it was.
-        let mut nodes = self.nodes.clone();
-        if ev.action == ChurnAction::Join {
-            // Match Cluster::new's validation: an id that ever had a
-            // replica (initial node or earlier joiner) is never
-            // recycled — a "rejoining" replica would resurrect the old
-            // warm cache and contradict the cold-start fault model.
-            if nodes.iter().any(|n| n.id == ev.node) {
-                return Err(RuntimeError::BadConfig(format!(
-                    "node id {} reused by a join (ids are never recycled)",
-                    ev.node
-                )));
-            }
-            let model = RuntimeModel::build(&cfg.model, cfg.cache_shards, cfg.seed)?;
-            nodes.push(ClusterNode {
-                id: ev.node,
-                model: Arc::new(model),
-            });
-        }
-        *self = Self::from_parts(cfg, nodes)?;
-        Ok(())
     }
 
     /// The cluster configuration.
@@ -1140,11 +1061,7 @@ impl Cluster {
         } else {
             scenario::generate(self.cfg.trace, self.cfg.scenario, self.cfg.seed)
         };
-        let depth = if self.cfg.queue_depth == 0 {
-            self.cfg.workers_per_node * 4
-        } else {
-            self.cfg.queue_depth
-        };
+        let depth = self.cfg.workers_per_node * 4;
         let node_queues: Vec<Arc<BoundedQueue<ScatterJob>>> = (0..self.nodes.len())
             .map(|_| Arc::new(BoundedQueue::with_capacity(depth)))
             .collect();
@@ -1172,11 +1089,10 @@ impl Cluster {
             let model = Arc::clone(&self.nodes[0].model);
             let progress = Arc::clone(&progress);
             let sla_us = self.cfg.sla_us;
-            let report = MergerReport::new(self.cfg.histogram_subs, start, recorder);
+            let report = MergerReport::new(start, recorder);
             std::thread::spawn(move || merger_loop(&merge, &model, &progress, sla_us, report))
         };
 
-        let subs = self.cfg.histogram_subs;
         let mut exec = Threaded {
             cluster: self,
             node_queues: &node_queues,
@@ -1187,8 +1103,8 @@ impl Cluster {
             chunk_flips: 0,
             epoch_snapshots: Vec::new(),
             epoch_metrics: Vec::new(),
-            slack: LatencyHistogram::with_subs_per_octave(subs),
-            virtual_histogram: LatencyHistogram::with_subs_per_octave(subs),
+            slack: LatencyHistogram::new(),
+            virtual_histogram: LatencyHistogram::new(),
             tenant_vhist: vec![LatencyHistogram::default(); self.cfg.tenants.tenant_count()],
         };
         let tally = self.dispatch(&trace, &mut exec);
@@ -1527,7 +1443,7 @@ impl Threaded<'_> {
         }
         self.epoch_metrics.push(registry.snapshot());
         tally.busy_us.fill(0.0);
-        self.slack = LatencyHistogram::with_subs_per_octave(self.cluster.cfg.histogram_subs);
+        self.slack = LatencyHistogram::new();
     }
 
     /// Wall-clock quiescence (zero virtual cost): every scattered batch
@@ -1755,8 +1671,8 @@ fn path_order(route: RoutePolicy) -> Vec<PathKind> {
 /// features go to their shard owner (that node's cache holds their warm
 /// state); the target set is exactly those owners. A path touching no
 /// per-node cache state (table-only) folds onto a single designated
-/// executor — the owner of feature 0 — because table weights are
-/// replicated everywhere. Table features whose owner is already a
+/// executor — the owner of feature 0 — because every node serves from
+/// the same table weights. Table features whose owner is already a
 /// target stay with it; the rest fold onto the first target.
 fn path_assignment(
     model: &RuntimeModel,
@@ -2203,29 +2119,35 @@ mod tests {
     }
 
     #[test]
-    fn schedule_builders_extend_and_validate() {
-        let mut cluster = Cluster::new(quick_cfg(3)).unwrap();
-        cluster.fail_node(2, 1_000.0).unwrap();
-        cluster.add_node(3, 2_000.0).unwrap();
-        assert_eq!(cluster.epochs().len(), 3);
-        assert_eq!(cluster.node_ids(), vec![0, 1, 2, 3]);
-        // Out-of-order extension is rejected and leaves the schedule
-        // untouched.
-        assert!(cluster.fail_node(0, 1_500.0).is_err());
-        assert_eq!(cluster.epochs().len(), 3);
-        assert_eq!(cluster.config().churn.len(), 2);
-        // Recycling the failed node's id is rejected here too (the
-        // builder must never produce a config Cluster::new would
-        // refuse, and a "rejoined" replica would carry a warm cache).
-        assert!(matches!(
-            cluster.add_node(2, 3_000.0),
-            Err(RuntimeError::BadConfig(_))
-        ));
-        assert_eq!(cluster.config().churn.len(), 2);
-        assert!(
-            Cluster::new(cluster.config().clone()).is_ok(),
-            "builder-produced configs round-trip through Cluster::new"
-        );
+    fn nodes_share_the_weights_and_own_their_caches() {
+        let cfg = quick_cfg(2);
+        let cluster = Cluster::new(cfg.clone()).unwrap();
+        let (boot, replica) = (&cluster.nodes[0].model, &cluster.nodes[1].model);
+        assert!(boot.shares_weights_with(replica), "one weight allocation");
+        // Each node is a fresh build in everything observable — checksums
+        // and every cache counter, bit for bit, over all three paths —
+        // and lookups on one node never reach the other's cache.
+        let fresh = RuntimeModel::build(&cfg.model, cfg.cache_shards, cfg.seed).unwrap();
+        let batches = [
+            (PathKind::Hybrid, [(0u64, 9u64), (1, 4)]),
+            (PathKind::Dhe, [(2, 7), (0, 3)]),
+            (PathKind::Table, [(3, 5), (4, 6)]),
+        ];
+        let mut want = Vec::new();
+        for (path, queries) in &batches {
+            let result = fresh.execute(*path, queries).unwrap();
+            assert_eq!(boot.execute(*path, queries).unwrap(), result, "{path}");
+            assert_eq!(boot.cache().stats(), fresh.cache().stats(), "{path}");
+            assert_eq!(replica.cache().stats(), CacheStats::default());
+            want.push((result, fresh.cache().stats()));
+        }
+        let served = boot.cache().stats();
+        assert!(served.lookups() > 0, "test premise: the cache was used");
+        for ((path, queries), (result, stats)) in batches.iter().zip(&want) {
+            assert_eq!(replica.execute(*path, queries).unwrap(), *result, "{path}");
+            assert_eq!(replica.cache().stats(), *stats, "{path}");
+        }
+        assert_eq!(boot.cache().stats(), served, "node 1's lookups reached node 0");
     }
 
     #[test]

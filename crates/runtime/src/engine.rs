@@ -98,7 +98,9 @@ impl std::fmt::Display for RoutePolicy {
 /// Full engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
-    /// Worker threads executing batches.
+    /// Worker threads executing batches; the bounded work queue holds
+    /// four batches per worker before a full queue blocks the dispatcher
+    /// (backpressure).
     pub workers: usize,
     /// MP-Cache shard count.
     pub cache_shards: usize,
@@ -124,9 +126,6 @@ pub struct RuntimeConfig {
     /// Micro-batch deadline: a pending batch flushes `max_batch_wait_us`
     /// after its oldest query arrived.
     pub max_batch_wait_us: f64,
-    /// Bounded work-queue depth (0 = `4 * workers`); full queue blocks
-    /// the dispatcher (backpressure).
-    pub queue_depth: usize,
     /// Pace ingress to the trace's real arrival times (open-loop load
     /// generator); `false` feeds the trace as fast as workers drain it
     /// (throughput mode).
@@ -169,7 +168,6 @@ impl Default for RuntimeConfig {
             sla_us: 10_000.0,
             max_batch_samples: 256,
             max_batch_wait_us: 2_000.0,
-            queue_depth: 0,
             pace_ingress: false,
             route: RoutePolicy::MpRec,
             virtual_gflops: 2.0,
@@ -289,7 +287,6 @@ impl Engine {
             sla_us: cfg.sla_us,
             max_batch_samples: cfg.max_batch_samples,
             max_batch_wait_us: cfg.max_batch_wait_us,
-            queue_depth: cfg.queue_depth,
             pace_ingress: cfg.pace_ingress,
             route: cfg.route,
             virtual_gflops: cfg.virtual_gflops,

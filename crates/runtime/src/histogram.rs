@@ -3,17 +3,14 @@
 //! Workers record microsecond latencies into thread-local histograms that
 //! merge exactly (bucket-wise addition) at the end of a run, so percentile
 //! reporting needs no cross-thread synchronization on the hot path. The
-//! buckets grow geometrically; the growth factor is configurable via
-//! [`LatencyHistogram::with_subs_per_octave`] and defaults to
-//! `2^(1/16)` (16 sub-buckets per power of two), bounding the relative
-//! quantile error at ~4.4% across a `1 us .. ~2^40 us` range — the same
-//! trade HdrHistogram-style serving telemetry makes. (The original
-//! 4-sub-bucket layout quantized p50s onto a ~19% grid: adjacent
-//! reported percentiles could only be values like 1448.2 or 2896.3 µs.)
+//! buckets grow geometrically by `2^(1/16)` (16 sub-buckets per power of
+//! two), bounding the relative quantile error at ~4.4% across a
+//! `1 us .. ~2^40 us` range — the same trade HdrHistogram-style serving
+//! telemetry makes.
 
-/// Default sub-buckets per power of two (`2^(1/16)` growth, ~4.4%
-/// relative bucket width).
-pub const DEFAULT_SUBS_PER_OCTAVE: u32 = 16;
+/// Sub-buckets per power of two (`2^(1/16)` growth, ~4.4% relative
+/// bucket width). One layout, so any two histograms merge exactly.
+const SUBS_PER_OCTAVE: usize = 16;
 
 /// Octaves covered: up to `2^40` us (~12.7 days).
 const OCTAVES: usize = 40;
@@ -22,7 +19,6 @@ const OCTAVES: usize = 40;
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
-    subs: u32,
     count: u64,
     sum_us: f64,
     min_us: f64,
@@ -36,21 +32,10 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Creates an empty histogram with the default
-    /// ([`DEFAULT_SUBS_PER_OCTAVE`]) bucket resolution.
+    /// Creates an empty histogram.
     pub fn new() -> Self {
-        Self::with_subs_per_octave(DEFAULT_SUBS_PER_OCTAVE)
-    }
-
-    /// Creates an empty histogram with `subs` sub-buckets per power of
-    /// two (clamped to `1..=64`): the bucket growth factor is
-    /// `2^(1/subs)`, so larger `subs` means finer quantiles at the cost
-    /// of `40 * subs` bucket slots.
-    pub fn with_subs_per_octave(subs: u32) -> Self {
-        let subs = subs.clamp(1, 64);
         LatencyHistogram {
-            counts: vec![0; OCTAVES * subs as usize + 1],
-            subs,
+            counts: vec![0; OCTAVES * SUBS_PER_OCTAVE + 1],
             count: 0,
             sum_us: 0.0,
             min_us: f64::INFINITY,
@@ -58,28 +43,22 @@ impl LatencyHistogram {
         }
     }
 
-    /// Sub-buckets per power of two this histogram was built with.
-    pub fn subs_per_octave(&self) -> u32 {
-        self.subs
-    }
-
-    /// Multiplicative width of one bucket (`2^(1/subs)`), e.g. ~1.044
-    /// at the default resolution.
+    /// Multiplicative width of one bucket, `2^(1/16)` ≈ 1.044.
     pub fn growth_factor(&self) -> f64 {
-        (2.0f64).powf(1.0 / self.subs as f64)
+        (2.0f64).powf(1.0 / SUBS_PER_OCTAVE as f64)
     }
 
     fn bucket_of(&self, us: f64) -> usize {
         if us <= 1.0 {
             return 0;
         }
-        let idx = (us.log2() * self.subs as f64).ceil() as usize;
+        let idx = (us.log2() * SUBS_PER_OCTAVE as f64).ceil() as usize;
         idx.min(self.counts.len() - 1)
     }
 
     /// Upper latency bound of bucket `i` in microseconds.
     fn upper_bound(&self, i: usize) -> f64 {
-        (2.0f64).powf(i as f64 / self.subs as f64)
+        (2.0f64).powf(i as f64 / SUBS_PER_OCTAVE as f64)
     }
 
     /// Records one latency observation (non-finite or negative values are
@@ -98,69 +77,16 @@ impl LatencyHistogram {
         self.max_us = self.max_us.max(us);
     }
 
-    /// Adds another histogram's counts into this one.
-    ///
-    /// Matching bucket resolutions merge exactly (bucket-wise addition).
-    /// Mismatched resolutions no longer panic: an *empty* aggregator
-    /// adopts the other histogram's configured growth factor verbatim
-    /// (so `LatencyHistogram::new()` fold-merges over per-node
-    /// histograms built `with_subs_per_octave(n)` without silently
-    /// coarsening them back to the default), and two non-empty
-    /// histograms rebucket to `gcd(self.subs, other.subs)` — every
-    /// fine bucket nests exactly inside one coarse bucket, so counts
-    /// are preserved and quantile error is bounded by the coarser
-    /// (still configured, never default) resolution.
+    /// Adds another histogram's counts into this one, bucket by bucket:
+    /// the result equals recording both streams into one histogram.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.count == 0 {
-            // Nothing to add — and never let an empty (e.g. idle-shard)
-            // histogram's layout coarsen a populated aggregator.
-            return;
-        }
-        if self.subs != other.subs {
-            if self.count == 0 {
-                // Fresh aggregator: take the other side's layout so the
-                // configured growth factor survives the merge tree.
-                *self = Self::with_subs_per_octave(other.subs);
-            } else {
-                // After coarsening to the gcd, self's buckets nest the
-                // other side's exactly, so one fold pass suffices.
-                self.rebucket(gcd(self.subs, other.subs));
-            }
-        }
-        self.merge_same_layout(other, other.subs);
-    }
-
-    /// Bucket-wise merge of `other` (whose resolution is `other_subs`)
-    /// into `self`, folding each of the other histogram's buckets into
-    /// the enclosing bucket of `self`. Exact when `self.subs` divides
-    /// `other_subs` (callers guarantee it).
-    fn merge_same_layout(&mut self, other: &LatencyHistogram, other_subs: u32) {
-        debug_assert_eq!(other_subs % self.subs, 0);
-        let ratio = (other_subs / self.subs) as usize;
-        for (i, &b) in other.counts.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            let target = i.div_ceil(ratio).min(self.counts.len() - 1);
-            self.counts[target] += b;
+        for (mine, &theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
         }
         self.count += other.count;
         self.sum_us += other.sum_us;
         self.min_us = self.min_us.min(other.min_us);
         self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Re-buckets this histogram to `new_subs` sub-buckets per octave
-    /// (`new_subs` must divide `self.subs`); each fine bucket's count
-    /// folds into the coarse bucket that fully contains its range.
-    fn rebucket(&mut self, new_subs: u32) {
-        if new_subs == self.subs {
-            return;
-        }
-        debug_assert_eq!(self.subs % new_subs, 0);
-        let mut coarse = Self::with_subs_per_octave(new_subs);
-        coarse.merge_same_layout(self, self.subs);
-        *self = coarse;
     }
 
     /// Number of recorded observations.
@@ -207,8 +133,7 @@ impl LatencyHistogram {
     /// reports 0 for every quantile, `q <= 0` (and non-finite `q`)
     /// returns the tracked minimum, and `q >= 1` returns the tracked
     /// maximum — so `quantile_us(0.0) <= quantile_us(q) <=
-    /// quantile_us(1.0)` holds for all `q`, including after
-    /// cross-resolution merges.
+    /// quantile_us(1.0)` holds for all `q`, including after merges.
     pub fn quantile_us(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -274,14 +199,6 @@ pub struct LatencySummary {
     pub max_us: f64,
 }
 
-/// Greatest common divisor (both inputs are clamped bucket counts >= 1).
-fn gcd(mut a: u32, mut b: u32) -> u32 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,34 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_resolution_still_tracks_order_statistics() {
-        // The original 4-sub-bucket layout stays available; its error
-        // bound is the documented ~19%.
-        let mut h = LatencyHistogram::with_subs_per_octave(4);
-        for us in 1..=1000 {
-            h.record(us as f64);
-        }
-        let p50 = h.quantile_us(0.5);
-        assert!((p50 / 500.0) > 0.85 && (p50 / 500.0) < 1.2, "p50 {p50}");
-    }
-
-    #[test]
-    fn finer_buckets_refine_the_quantile_grid() {
-        // With 4 subs/octave the p50 of this stream quantizes to 1448.2;
-        // the 16-sub default lands within ~4.4% of the true 1500.
-        let mut coarse = LatencyHistogram::with_subs_per_octave(4);
-        let mut fine = LatencyHistogram::new();
-        for us in 1000..=2000 {
-            coarse.record(us as f64);
-            fine.record(us as f64);
-        }
-        let c50 = coarse.quantile_us(0.5);
-        let f50 = fine.quantile_us(0.5);
-        assert!((c50 / 1500.0 - 1.0).abs() > 0.03, "coarse p50 {c50}");
-        assert!((f50 / 1500.0 - 1.0).abs() < 0.045, "fine p50 {f50}");
-    }
-
-    #[test]
     fn merge_equals_recording_into_one() {
         let mut a = LatencyHistogram::new();
         let mut b = LatencyHistogram::new();
@@ -358,116 +247,6 @@ mod tests {
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(a.quantile_us(q), whole.quantile_us(q));
         }
-    }
-
-    #[test]
-    fn merge_is_exact_across_identical_nondefault_configs() {
-        let mut a = LatencyHistogram::with_subs_per_octave(8);
-        let mut b = LatencyHistogram::with_subs_per_octave(8);
-        let mut whole = LatencyHistogram::with_subs_per_octave(8);
-        for i in 0..300 {
-            let us = ((i * 97) % 5_000) as f64;
-            if i % 3 == 0 {
-                a.record(us);
-            } else {
-                b.record(us);
-            }
-            whole.record(us);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        for q in [0.25, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile_us(q), whole.quantile_us(q));
-        }
-    }
-
-    #[test]
-    fn empty_aggregator_adopts_the_configured_growth_factor() {
-        // The cross-node merge bug: a fresh `new()` aggregator (16
-        // subs/octave) folding in per-shard histograms built at 32
-        // subs/octave used to panic — and the obvious "just keep the
-        // default" workaround silently lost the configured resolution.
-        let mut shard = LatencyHistogram::with_subs_per_octave(32);
-        for us in 1..=1000 {
-            shard.record(us as f64);
-        }
-        let mut agg = LatencyHistogram::new();
-        agg.merge(&shard);
-        assert_eq!(agg.subs_per_octave(), 32, "configured factor survives");
-        assert_eq!(agg.count(), shard.count());
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(agg.quantile_us(q), shard.quantile_us(q));
-        }
-    }
-
-    #[test]
-    fn cross_shard_merge_sums_counts_across_resolutions() {
-        // Regression for the cluster report path: shards built at
-        // different (divisible) resolutions merge by rebucketing to the
-        // gcd; no observation is lost and quantiles stay within the
-        // coarser grid's error of an all-in-one reference.
-        let mut fine = LatencyHistogram::with_subs_per_octave(16);
-        let mut coarse = LatencyHistogram::with_subs_per_octave(8);
-        let mut reference = LatencyHistogram::with_subs_per_octave(8);
-        for i in 0..2000u64 {
-            let us = (37 * i % 50_000) as f64;
-            if i % 2 == 0 {
-                fine.record(us);
-            } else {
-                coarse.record(us);
-            }
-            reference.record(us);
-        }
-        let mut agg = LatencyHistogram::new();
-        agg.merge(&fine);
-        assert_eq!(agg.subs_per_octave(), 16);
-        agg.merge(&coarse);
-        assert_eq!(agg.subs_per_octave(), 8, "gcd(16, 8)");
-        assert_eq!(agg.count(), reference.count(), "no observation lost");
-        assert_eq!(agg.mean_us(), reference.mean_us());
-        assert_eq!(agg.min_us(), reference.min_us());
-        assert_eq!(agg.max_us(), reference.max_us());
-        for q in [0.5, 0.9, 0.99] {
-            let got = agg.quantile_us(q);
-            let want = reference.quantile_us(q);
-            // Rebucketing 16 -> 8 can promote an observation by at most
-            // one coarse bucket.
-            let tol = reference.growth_factor();
-            assert!(
-                got >= want / tol - 1e-9 && got <= want * tol + 1e-9,
-                "q{q}: merged {got} vs reference {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn merging_an_empty_histogram_never_coarsens_the_aggregator() {
-        // Regression: an idle shard's empty histogram at a foreign
-        // resolution (gcd(16, 9) = 1) must not destroy the populated
-        // aggregator's quantile resolution.
-        let mut agg = LatencyHistogram::with_subs_per_octave(16);
-        for us in 1..=1000 {
-            agg.record(us as f64);
-        }
-        let p50_before = agg.quantile_us(0.5);
-        agg.merge(&LatencyHistogram::with_subs_per_octave(9));
-        assert_eq!(agg.subs_per_octave(), 16, "layout untouched");
-        assert_eq!(agg.count(), 1000);
-        assert_eq!(agg.quantile_us(0.5), p50_before);
-    }
-
-    #[test]
-    fn coprime_resolutions_fold_to_the_gcd() {
-        let mut a = LatencyHistogram::with_subs_per_octave(9);
-        let mut b = LatencyHistogram::with_subs_per_octave(6);
-        for us in [10.0, 100.0, 1000.0] {
-            a.record(us);
-            b.record(us * 2.0);
-        }
-        a.merge(&b);
-        assert_eq!(a.subs_per_octave(), 3, "gcd(9, 6)");
-        assert_eq!(a.count(), 6);
-        assert_eq!(a.max_us(), 2000.0);
     }
 
     #[test]
@@ -578,29 +357,5 @@ mod tests {
         assert!(s.p99_us >= 1000.0 && s.p99_us <= 1000.0 * g, "p99 {}", s.p99_us);
         assert_eq!(s.max_us, 50_000.0);
         assert_eq!(LatencyHistogram::new().summary(), LatencySummary::default());
-    }
-
-    #[test]
-    fn summary_survives_cross_resolution_merge() {
-        // A default-resolution aggregator fold-merging a fine and a
-        // coarse histogram rebuckets to gcd resolution; the digest must
-        // stay within the *coarser* configured error bound.
-        let mut fine = LatencyHistogram::with_subs_per_octave(32);
-        let mut coarse = LatencyHistogram::with_subs_per_octave(8);
-        for us in 1..=500 {
-            fine.record(us as f64);
-            coarse.record((500 + us) as f64);
-        }
-        let mut agg = LatencyHistogram::new();
-        agg.merge(&fine);
-        agg.merge(&coarse);
-        assert_eq!(agg.subs_per_octave(), 8, "gcd(32, 8)");
-        assert_eq!(agg.count(), 1000);
-        let s = agg.summary();
-        let g = agg.growth_factor();
-        assert!(s.p50_us >= 500.0 && s.p50_us <= 500.0 * g * g, "p50 {}", s.p50_us);
-        assert!(s.p95_us >= 950.0 && s.p95_us <= 950.0 * g * g, "p95 {}", s.p95_us);
-        assert_eq!(s.max_us, 1000.0);
-        assert_eq!(s.p50_us, agg.percentile(50.0));
     }
 }

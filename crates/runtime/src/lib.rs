@@ -63,7 +63,7 @@ pub use engine::{
     degrade_rank, serve, Engine, PathAccuracy, RoutePolicy, RuntimeConfig, RuntimeReport,
     TenantReport,
 };
-pub use histogram::{LatencyHistogram, LatencySummary, DEFAULT_SUBS_PER_OCTAVE};
+pub use histogram::{LatencyHistogram, LatencySummary};
 pub use model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};
 pub use queue::BoundedQueue;
 // Re-exported so runtime and simulator callers share one outcome type

@@ -14,6 +14,7 @@ use mprec_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{Result, RuntimeError};
 
@@ -137,17 +138,26 @@ pub struct BatchResult {
     pub checksum: f64,
 }
 
+/// Everything a model holds that no lookup ever changes: one allocation
+/// shared by every replica of a cluster.
+#[derive(Debug)]
+struct Weights {
+    tables: Vec<EmbeddingTable>,
+    stacks: Vec<DheStack>,
+    top: Mlp,
+    zipf: Zipf,
+    tenant_zipfs: Vec<Zipf>,
+    /// `0..sparse_features`, the feature list of a full execution.
+    all_features: Vec<usize>,
+}
+
 /// The serving model: immutable after build, shared by every worker via
 /// `Arc` (interior mutability lives only inside the sharded cache).
 #[derive(Debug)]
 pub struct RuntimeModel {
     cfg: RuntimeModelConfig,
-    tables: Vec<EmbeddingTable>,
-    stacks: Vec<DheStack>,
+    weights: Arc<Weights>,
     cache: ShardedMpCache,
-    top: Mlp,
-    zipf: Zipf,
-    tenant_zipfs: Vec<Zipf>,
     seed: u64,
 }
 
@@ -191,6 +201,46 @@ impl RuntimeModel {
             .map(|&e| Zipf::new(cfg.rows_per_feature, e))
             .collect();
 
+        // Allocated before the top MLP: the other order measured 3 % lower
+        // `samples_per_s` on the benchmark's `mprec_closed`, every pair.
+        let cache = Self::build_cache(cfg, &stacks, &zipf, cache_shards, seed)?;
+
+        let mut top_sizes = Vec::with_capacity(cfg.top_hidden.len() + 2);
+        top_sizes.push(cfg.emb_dim);
+        top_sizes.extend_from_slice(&cfg.top_hidden);
+        top_sizes.push(1);
+        let top = Mlp::new(&top_sizes, Activation::Relu, Activation::Identity, &mut rng)?;
+
+        let weights = Weights {
+            tables,
+            stacks,
+            top,
+            zipf,
+            tenant_zipfs,
+            all_features: (0..cfg.sparse_features).collect(),
+        };
+        Ok(RuntimeModel {
+            cfg: cfg.clone(),
+            weights: Arc::new(weights),
+            cache,
+            seed,
+        })
+    }
+
+    /// A fresh MP-Cache for a model: the offline profiling pass, the
+    /// static encoder tier it drives, and the per-feature decoder tiers —
+    /// a pure function of its arguments, so every replica's cache starts
+    /// identical.
+    // Inlined: out of line, the table-fill loop in `build` runs 12-16 %
+    // slower (`setup_s` on the benchmark's one-model workloads).
+    #[inline(always)]
+    fn build_cache(
+        cfg: &RuntimeModelConfig,
+        stacks: &[DheStack],
+        zipf: &Zipf,
+        cache_shards: usize,
+        seed: u64,
+    ) -> Result<ShardedMpCache> {
         // Offline profiling pass: Zipf access counts per feature drive the
         // static encoder tier (paper §4.3's frequency-based tier).
         let mut profile_rng = StdRng::seed_from_u64(splitmix64(seed ^ 0xCAFE));
@@ -243,30 +293,31 @@ impl RuntimeModel {
         } else {
             (0..cfg.sparse_features).map(|_| None).collect()
         };
-        let cache = ShardedMpCache::with_feature_decoders(
+        Ok(ShardedMpCache::with_feature_decoders(
             encoder,
             decoders,
             ShardedCacheConfig {
                 shards: cache_shards,
                 dynamic_entries: cfg.dynamic_cache_entries,
             },
-        );
+        ))
+    }
 
-        let mut top_sizes = Vec::with_capacity(cfg.top_hidden.len() + 2);
-        top_sizes.push(cfg.emb_dim);
-        top_sizes.extend_from_slice(&cfg.top_hidden);
-        top_sizes.push(1);
-        let top = Mlp::new(&top_sizes, Activation::Relu, Activation::Identity, &mut rng)?;
-
+    /// A cluster replica of this model: the same weight allocation
+    /// behind a cache of its own, built exactly as [`RuntimeModel::build`]
+    /// built this one's — the only per-node state a cluster has.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cache construction errors.
+    pub(crate) fn replica(&self) -> Result<Self> {
+        let w = &self.weights;
+        let shards = self.cache.num_shards();
         Ok(RuntimeModel {
-            cfg: cfg.clone(),
-            tables,
-            stacks,
-            cache,
-            top,
-            zipf,
-            tenant_zipfs,
-            seed,
+            cfg: self.cfg.clone(),
+            weights: Arc::clone(w),
+            cache: Self::build_cache(&self.cfg, &w.stacks, &w.zipf, shards, self.seed)?,
+            seed: self.seed,
         })
     }
 
@@ -296,8 +347,8 @@ impl RuntimeModel {
     /// `per_feature` (appending `size` IDs per feature): per-query RNG
     /// seeded from `(model seed, query id)`, so the same trace produces
     /// the same lookups no matter which worker — or which cluster node —
-    /// executes the batch. Public so the differential sim-vs-runtime
-    /// harness can replay the exact ID stream against a twin cache.
+    /// executes the batch. [`RuntimeModel::pool_features_into`] is its one
+    /// caller here; public for harnesses that time or inspect the stream.
     ///
     /// Hot-key-drift traces ([`mprec_data::scenario`]) carry an epoch in
     /// the query id's high bits; a nonzero epoch rotates every Zipf draw
@@ -337,10 +388,11 @@ impl RuntimeModel {
             // Tenants share the physical tables but not their hot sets.
             rotation = (rotation + splitmix64(TENANT_ROT_SALT ^ tenant as u64) % rows) % rows;
         }
-        let zipf = if tenant == 0 || self.tenant_zipfs.is_empty() {
-            &self.zipf
+        let tenant_zipfs = &self.weights.tenant_zipfs;
+        let zipf = if tenant == 0 || tenant_zipfs.is_empty() {
+            &self.weights.zipf
         } else {
-            &self.tenant_zipfs[(tenant as usize - 1) % self.tenant_zipfs.len()]
+            &tenant_zipfs[(tenant as usize - 1) % tenant_zipfs.len()]
         };
         let pool = self.cfg.user_pool.max(1);
         for _ in 0..size {
@@ -385,11 +437,10 @@ impl RuntimeModel {
     }
 
     /// [`RuntimeModel::execute`] against a persistent [`ScratchSpace`]:
-    /// table features gather deduplicated rows into the scratch arena,
-    /// DHE features run the batched MP-Cache path through the scratch
-    /// buffers, pooling accumulates in the reusable pooled matrix, and
-    /// the top MLP ping-pongs between the scratch pair — zero
-    /// steady-state heap allocations.
+    /// [`RuntimeModel::pool_features_into`] over every feature into the
+    /// scratch's reusable pooled matrix, then
+    /// [`RuntimeModel::score_pooled`] ping-ponging between the scratch
+    /// pair — zero steady-state heap allocations.
     ///
     /// # Errors
     ///
@@ -400,48 +451,32 @@ impl RuntimeModel {
         queries: &[(u64, u64)],
         scratch: &mut ScratchSpace,
     ) -> Result<BatchResult> {
-        let total: u64 = queries.iter().map(|&(_, s)| s).sum();
-        if total == 0 {
-            return Ok(BatchResult { samples: 0, checksum: 0.0 });
-        }
-        for ids in scratch.per_feature.iter_mut() {
-            ids.clear();
-        }
-        for &(qid, size) in queries {
-            self.draw_query_ids(qid, size, &mut scratch.per_feature);
-        }
-        scratch.pooled.resize_zeroed(total as usize, self.cfg.emb_dim);
-        for (feature, ids) in scratch.per_feature.iter().enumerate() {
-            if self.path_uses_dhe(path, feature) {
-                self.cache.embed_batch_into(
-                    &self.stacks[feature],
-                    feature,
-                    ids,
-                    &mut scratch.cache,
-                    &mut scratch.emb,
-                )?;
-            } else {
-                self.tables[feature].forward_dedup_into(
-                    ids,
-                    &mut scratch.gather,
-                    &mut scratch.emb,
-                )?;
-            }
-            scratch.pooled.add_assign(&scratch.emb)?;
-        }
-        let checksum = self.score_pooled(&scratch.pooled, &mut scratch.top)?;
-        Ok(BatchResult { samples: total, checksum })
+        // Taken and put back: the pool borrows the rest of the scratch.
+        let mut pooled = std::mem::take(&mut scratch.pooled);
+        let all = &self.weights.all_features;
+        let result = match self.pool_features_into(path, queries, all, scratch, &mut pooled) {
+            Ok(0) => Ok(BatchResult { samples: 0, checksum: 0.0 }),
+            Ok(samples) => self
+                .score_pooled(&pooled, &mut scratch.top)
+                .map(|checksum| BatchResult { samples, checksum }),
+            Err(e) => Err(e),
+        };
+        scratch.pooled = pooled;
+        result
     }
 
-    /// Scatter half of the cluster's scatter/gather execution: pools the
-    /// embeddings of the given *global* feature indices only, writing the
-    /// partial sum into `out` (resized to `total x emb_dim`, zeroed).
-    /// Every feature's ID stream is still drawn (the per-query RNG is one
-    /// sequential stream across features, so skipping draws would change
-    /// sibling features' IDs); only `features` execute real lookups. The
-    /// caller sums partials across nodes and runs
-    /// [`RuntimeModel::score_pooled`] — zero steady-state allocations
-    /// with a warm scratch, like [`RuntimeModel::execute_with`].
+    /// The one embedding pass: a full execution is this over every
+    /// feature, a cluster scatter leg this over the node's assignment.
+    /// The batch's IDs are drawn query by query, *every* feature's stream
+    /// each time (the per-query RNG is one sequential stream across
+    /// features, so skipping draws would change sibling features' IDs).
+    /// Then `features`, *global* indices, execute in list order, each
+    /// feature's IDs as one batch: a DHE feature of `path` through the
+    /// MP-Cache, a table feature as a deduplicated gather that touches no
+    /// cache. Each result is added into `out` (resized to `total x
+    /// emb_dim`, zeroed), so partials over disjoint lists sum to the pool
+    /// [`RuntimeModel::score_pooled`] scores. Returns the sample count;
+    /// zero steady-state allocations with a warm scratch.
     ///
     /// # Errors
     ///
@@ -469,14 +504,14 @@ impl RuntimeModel {
             let ids = &scratch.per_feature[feature];
             if self.path_uses_dhe(path, feature) {
                 self.cache.embed_batch_into(
-                    &self.stacks[feature],
+                    &self.weights.stacks[feature],
                     feature,
                     ids,
                     &mut scratch.cache,
                     &mut scratch.emb,
                 )?;
             } else {
-                self.tables[feature].forward_dedup_into(
+                self.weights.tables[feature].forward_dedup_into(
                     ids,
                     &mut scratch.gather,
                     &mut scratch.emb,
@@ -495,81 +530,8 @@ impl RuntimeModel {
     ///
     /// Propagates MLP execution errors.
     pub fn score_pooled(&self, pooled: &Matrix, top: &mut MlpScratch) -> Result<f64> {
-        let scores = self.top.infer_scratch(pooled, top)?;
+        let scores = self.weights.top.infer_scratch(pooled, top)?;
         Ok(scores.as_slice().iter().map(|&v| v as f64).sum())
-    }
-
-    /// Replays only the MP-Cache accesses of one micro-batch, in the
-    /// exact order [`RuntimeModel::execute_with`] performs them (features
-    /// ascending, each feature's IDs batched). The differential
-    /// sim-vs-runtime harness uses this on a *twin* model to predict the
-    /// live runtime's cache hit/miss counters without re-running the
-    /// pooling or top-MLP math.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stack execution errors.
-    pub fn replay_cache_accesses(
-        &self,
-        path: PathKind,
-        queries: &[(u64, u64)],
-        scratch: &mut ScratchSpace,
-    ) -> Result<()> {
-        for ids in scratch.per_feature.iter_mut() {
-            ids.clear();
-        }
-        for &(qid, size) in queries {
-            self.draw_query_ids(qid, size, &mut scratch.per_feature);
-        }
-        for (feature, ids) in scratch.per_feature.iter().enumerate() {
-            if self.path_uses_dhe(path, feature) {
-                self.cache.embed_batch_into(
-                    &self.stacks[feature],
-                    feature,
-                    ids,
-                    &mut scratch.cache,
-                    &mut scratch.emb,
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`RuntimeModel::replay_cache_accesses`] restricted to a feature
-    /// subset, in the exact order [`RuntimeModel::pool_features_into`]
-    /// performs them — the per-*node* twin the elastic-cluster
-    /// differential tests replay a node's pruned scatter assignment
-    /// against (every feature's IDs are still drawn to keep the RNG
-    /// stream shared; only `features` touch the cache).
-    ///
-    /// # Errors
-    ///
-    /// Propagates stack execution errors.
-    pub fn replay_cache_accesses_features(
-        &self,
-        path: PathKind,
-        queries: &[(u64, u64)],
-        features: &[usize],
-        scratch: &mut ScratchSpace,
-    ) -> Result<()> {
-        for ids in scratch.per_feature.iter_mut() {
-            ids.clear();
-        }
-        for &(qid, size) in queries {
-            self.draw_query_ids(qid, size, &mut scratch.per_feature);
-        }
-        for &feature in features {
-            if self.path_uses_dhe(path, feature) {
-                self.cache.embed_batch_into(
-                    &self.stacks[feature],
-                    feature,
-                    &scratch.per_feature[feature],
-                    &mut scratch.cache,
-                    &mut scratch.emb,
-                )?;
-            }
-        }
-        Ok(())
     }
 
     /// Analytic embedding FLOPs per sample for one feature on `path`:
@@ -683,6 +645,11 @@ mod tests {
     }
 
     impl RuntimeModel {
+        /// Whether `self` and `other` serve from one weight allocation.
+        pub(crate) fn shares_weights_with(&self, other: &RuntimeModel) -> bool {
+            Arc::ptr_eq(&self.weights, &other.weights)
+        }
+
         /// The allocating reference for `execute_with`: fresh buffers per
         /// batch, no gather dedup, allocating cache and MLP inference.
         fn execute_naive(&self, path: PathKind, queries: &[(u64, u64)]) -> Result<BatchResult> {
@@ -694,13 +661,13 @@ mod tests {
             let mut pooled = Matrix::zeros(total as usize, self.cfg.emb_dim);
             for (feature, ids) in per_feature.iter().enumerate() {
                 let emb = if self.path_uses_dhe(path, feature) {
-                    self.cache.embed_batch(&self.stacks[feature], feature, ids)?
+                    self.cache.embed_batch(&self.weights.stacks[feature], feature, ids)?
                 } else {
-                    self.tables[feature].forward(ids)?
+                    self.weights.tables[feature].forward(ids)?
                 };
                 pooled.add_assign(&emb)?;
             }
-            let scores = self.top.infer(&pooled)?;
+            let scores = self.weights.top.infer(&pooled)?;
             let checksum = scores.as_slice().iter().map(|&v| v as f64).sum();
             Ok(BatchResult { samples: total, checksum })
         }
@@ -755,6 +722,15 @@ mod tests {
                 "path {path}: gathered {gathered} vs full {}",
                 full.checksum
             );
+            // One leg holding every feature IS the full execution: same
+            // feature order, same f32 adds, same bits.
+            let one_leg = RuntimeModel::build(&tiny_cfg(), 4, 11).unwrap();
+            one_leg
+                .pool_features_into(path, &queries, &[0, 1], &mut s0, &mut p0)
+                .unwrap();
+            let scored = one_leg.score_pooled(&p0, &mut top).unwrap();
+            assert_eq!(scored, full.checksum, "path {path}");
+            assert_eq!(one_leg.cache().stats(), full_model.cache().stats(), "path {path}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property tests for [`LatencyHistogram`]: `sum_us`, `count`, and the
 //! `percentile` order statistics must stay mutually consistent across
-//! arbitrary record sequences and cross-resolution `merge` trees —
+//! arbitrary record sequences and `merge`s —
 //! exact sums (tracked outside the buckets), exact min/max endpoints,
 //! monotone quantiles, and every quantile inside the observed
 //! `[min, max]` envelope.
@@ -8,9 +8,9 @@
 use mprec_runtime::LatencyHistogram;
 use proptest::prelude::*;
 
-/// Builds a histogram at `subs` sub-buckets per octave from `values`.
-fn hist(subs: u32, values: &[f64]) -> LatencyHistogram {
-    let mut h = LatencyHistogram::with_subs_per_octave(subs);
+/// Builds a histogram from `values`.
+fn hist(values: &[f64]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::new();
     for &v in values {
         h.record(v);
     }
@@ -23,9 +23,8 @@ proptest! {
     #[test]
     fn sum_count_and_endpoints_are_exact(
         values in prop::collection::vec(0.0f64..1.0e7, 1..200),
-        subs_pow in 0u32..4,
     ) {
-        let h = hist(1 << subs_pow, &values);
+        let h = hist(&values);
         let exact_sum: f64 = values.iter().sum();
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(0.0f64, f64::max);
@@ -43,9 +42,8 @@ proptest! {
     #[test]
     fn percentiles_are_monotone_and_inside_the_envelope(
         values in prop::collection::vec(0.0f64..1.0e7, 1..200),
-        subs_pow in 0u32..4,
     ) {
-        let h = hist(1 << subs_pow, &values);
+        let h = hist(&values);
         let mut prev = f64::NEG_INFINITY;
         for p in [0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
             let v = h.percentile(p);
@@ -66,21 +64,20 @@ proptest! {
     fn cross_resolution_merge_keeps_sum_and_percentiles_consistent(
         a_values in prop::collection::vec(0.0f64..1.0e7, 0..120),
         b_values in prop::collection::vec(0.0f64..1.0e7, 0..120),
-        a_subs_pow in 0u32..4,
-        b_subs_pow in 0u32..4,
     ) {
-        // Merge two histograms built at (possibly coprime-free, but
-        // certainly different) resolutions; the aggregate must behave
-        // exactly like a histogram over the concatenated observations
-        // for every *exact* statistic, and its quantiles must obey the
-        // same consistency contract as an un-merged histogram.
-        let a = hist(1 << a_subs_pow, &a_values);
-        let b = hist(3 * (1 << b_subs_pow), &b_values);
-        let mut merged = a.clone();
-        merged.merge(&b);
+        // The aggregate must behave exactly like a histogram over the
+        // concatenated observations — bucket for bucket, so every
+        // quantile too — and obey the same consistency contract as an
+        // un-merged histogram.
+        let mut merged = hist(&a_values);
+        merged.merge(&hist(&b_values));
 
         let all: Vec<f64> = a_values.iter().chain(b_values.iter()).cloned().collect();
+        let whole = hist(&all);
         prop_assert_eq!(merged.count(), all.len() as u64);
+        for p in [1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0] {
+            prop_assert_eq!(merged.percentile(p), whole.percentile(p), "merged p{}", p);
+        }
         let exact_sum: f64 = all.iter().sum();
         prop_assert!(
             (merged.sum_us() - exact_sum).abs() <= 1e-9 * exact_sum.abs().max(1.0),
@@ -103,7 +100,7 @@ proptest! {
             prop_assert!(v >= lo && v <= hi, "merged p{} escaped envelope", p);
             prev = v;
         }
-        // The bucket fold never loses mass: the p50 bucket rank the
+        // The merge never loses mass: the p50 bucket rank the
         // merged histogram reports covers at least half the population.
         let p50 = merged.percentile(50.0);
         let at_or_below = all.iter().filter(|&&v| v <= p50).count();

@@ -377,7 +377,7 @@ pub fn replay_closed_loop(
         let send_us = (q.arrival_us as f64).max(next_free);
         sched.advance_to(send_us);
         let decision = sched
-            .route_into(q.size as u64, cfg.sla_us, 0, &mut completions)
+            .route_into(q.size as u64, cfg.sla_us, &mut completions)
             .expect("mapping set is never empty");
         let done_us = sched.commit(&decision);
         next_free = done_us;

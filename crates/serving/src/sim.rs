@@ -258,7 +258,7 @@ pub fn simulate_trace(
     for q in trace {
         let arrival = q.arrival_us as f64;
         sched.advance_to(arrival);
-        let Some(decision) = sched.route(q.size as u64, cfg.sla_us, 0) else {
+        let Some(decision) = sched.route(q.size as u64, cfg.sla_us) else {
             continue;
         };
         let done = sched.commit(&decision);

@@ -1,21 +1,22 @@
 //! Elastic scale-out cluster serving with `mprec-runtime::cluster`:
 //! the sparse feature space is consistent-hash-sharded across 4
-//! simulated nodes (each with its own worker, model replica, and
-//! MP-Cache state), a front-end scatters every micro-batch to the
-//! *pruned* target set of its routed path, the nodes compute partial
-//! pooled embeddings, and a merger gathers them through the top MLP.
+//! simulated nodes (each with its own worker and MP-Cache state over
+//! one shared set of weights), a front-end scatters every micro-batch
+//! to the *pruned* target set of its routed path, the nodes compute
+//! partial pooled embeddings, and a merger gathers them through the top
+//! MLP.
 //! Runs two traffic scenarios — steady Poisson and hot-key drift —
 //! printing the shard layout, per-node cache hit rates (drift visibly
 //! cools the caches; a node owning only replicated table-half features
 //! may idle entirely — that's shard pruning), and the slowest-shard
-//! critical path the router SLA-routes on. A final run schedules node
+//! critical path the router SLA-routes on. A final run configures node
 //! churn (one failure + one join mid-trace) and prints the per-epoch
 //! hit rates: the post-rebalance dip and its recovery.
 //!
 //! Run with: `cargo run --release --example cluster_serving`
 
 use mprec::data::query::QueryTraceConfig;
-use mprec::data::scenario::LoadScenario;
+use mprec::data::scenario::{ChurnAction, ChurnEvent, LoadScenario};
 use mprec::runtime::{Cluster, ClusterConfig, PathKind, RuntimeModelConfig};
 
 fn cfg(scenario: LoadScenario) -> ClusterConfig {
@@ -93,10 +94,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Elasticity: fail node 3 at 40% of the trace, admit a cold node 4
     // at 70%, and watch the rebalanced shards dip and re-warm.
-    let mut elastic = Cluster::new(cfg(LoadScenario::SteadyPoisson))?;
     let span = mprec::data::scenario::nominal_span_us(4_000, 2_000.0);
-    elastic.fail_node(3, 0.4 * span)?;
-    elastic.add_node(4, 0.7 * span)?;
+    let elastic = Cluster::new(ClusterConfig {
+        churn: vec![
+            ChurnEvent {
+                at_us: 0.4 * span,
+                node: 3,
+                action: ChurnAction::Fail,
+            },
+            ChurnEvent {
+                at_us: 0.7 * span,
+                node: 4,
+                action: ChurnAction::Join,
+            },
+        ],
+        ..cfg(LoadScenario::SteadyPoisson)
+    })?;
     let report = elastic.serve()?;
     println!("== node churn: fail node 3 @40%, join node 4 @70% ==");
     println!(

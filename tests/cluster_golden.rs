@@ -181,7 +181,6 @@ fn streaming_adaptive_cfg() -> ClusterConfig {
             adaptive_threshold_us: 50.0,
             adaptive_cooldown_us: 4_000.0,
             adaptive_max_moves: 1,
-            ..RebalanceConfig::default()
         },
         ..base_cfg(8)
     };

@@ -110,7 +110,6 @@ fn streaming_handoff_lowers_the_violation_rate_against_the_barrier_swap() {
                 adaptive_threshold_us: 50.0,
                 adaptive_cooldown_us: 0.02 * span,
                 adaptive_max_moves: 1,
-                ..RebalanceConfig::default()
             };
         }
         serve(cfg)

@@ -121,9 +121,17 @@ fn twin_cache_stats(
     let twin =
         RuntimeModel::build(&cfg.model, cfg.cache_shards, cfg.seed).expect("twin builds");
     let mut scratch = twin.make_scratch();
+    let all: Vec<usize> = (0..cfg.model.sparse_features).collect();
+    let mut pooled = mprec::tensor::Matrix::default();
     for batch in &sim.batches {
-        twin.replay_cache_accesses(paths[batch.mapping_idx], &batch.queries, &mut scratch)
-            .expect("twin replay");
+        twin.pool_features_into(
+            paths[batch.mapping_idx],
+            &batch.queries,
+            &all,
+            &mut scratch,
+            &mut pooled,
+        )
+        .expect("twin replay");
     }
     twin.cache().stats()
 }
@@ -285,11 +293,15 @@ fn merged_twin_stats(
 ) -> mprec::core::CacheStats {
     let twin = RuntimeModel::build(&cfg.model, cfg.cache_shards, cfg.seed).expect("twin");
     let mut scratch = twin.make_scratch();
+    let all: Vec<usize> = (0..cfg.model.sparse_features).collect();
+    let mut pooled = mprec::tensor::Matrix::default();
     for batch in &sim.batches {
-        twin.replay_cache_accesses(
+        twin.pool_features_into(
             cluster.paths()[batch.mapping_idx],
             &batch.queries,
+            &all,
             &mut scratch,
+            &mut pooled,
         )
         .expect("twin replay");
     }
@@ -413,11 +425,12 @@ fn per_node_twin_stats(
         for (node_id, feats) in assignment {
             let slot = ids.iter().position(|i| i == node_id).expect("replica");
             twins[slot]
-                .replay_cache_accesses_features(
+                .pool_features_into(
                     path,
                     &batch.queries,
                     feats,
                     &mut scratches[slot],
+                    &mut mprec::tensor::Matrix::default(),
                 )
                 .expect("per-node twin replay");
         }
@@ -720,7 +733,6 @@ fn streaming_migration_and_adaptive_replan_twins_agree_event_for_event() {
         adaptive_threshold_us: 50.0,
         adaptive_cooldown_us: 4_000.0,
         adaptive_max_moves: 1,
-        ..RebalanceConfig::default()
     };
     let cluster = Cluster::new(cfg.clone()).expect("cluster builds");
     let report = cluster.serve().expect("cluster serves");
