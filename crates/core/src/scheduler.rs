@@ -8,6 +8,8 @@
 //! SLA window, so a path that cannot keep up naturally sheds load to the
 //! table paths instead of building an unbounded queue.
 
+use mprec_data::scenario::degrade_mask;
+
 use crate::planner::MappingSet;
 use crate::Result;
 
@@ -122,7 +124,7 @@ impl Scheduler {
     }
 
     /// [`route_into`](Self::route_into) under an SLA-class pressure
-    /// ladder: after scoring every candidate, [`class_pressure_mask`]
+    /// ladder: after scoring every candidate, [`degrade_mask`]
     /// masks the degradable candidates the class's rungs have turned
     /// off at the current [`max_backlog_us`](Self::max_backlog_us)
     /// (visible to the flight recorder as `+inf` costs in the
@@ -144,7 +146,7 @@ impl Scheduler {
             completions.push(self.backlog_us(m.platform_idx) + exec);
         }
         if !degrade_rank.is_empty() {
-            class_pressure_mask(
+            degrade_mask(
                 degrade_rank,
                 self.max_backlog_us(),
                 narrow_backlog_us,
@@ -257,49 +259,6 @@ pub fn select_mapping(
             .partial_cmp(&expected_completion_us[b])
             .expect("finite latency")
     })
-}
-
-/// The SLA-class pressure ladder over Algorithm 2's candidate set: the
-/// per-class analogue of the chaos brownout mask, with the rung
-/// thresholds supplied by the query's SLA class instead of a global
-/// config. When the serving tier's worst virtual `backlog_us` reaches
-/// `narrow_backlog_us`, candidates of degrade rank 2 (hybrid) are
-/// masked to `+inf`; at `table_only_backlog_us`, ranks 1–2 (DHE too).
-/// Rank 0 (the replicated table path) is never masked, a masking that
-/// would empty the candidate set is skipped, and a strict class passes
-/// `f64::INFINITY` thresholds so it is never class-degraded.
-///
-/// Masked costs stay visible: they land as `+inf` slots in the
-/// `RouteDecision` trace event's candidate-cost vector, so a recording
-/// shows *why* a loose-class batch lost its accurate path. This is the
-/// single shared implementation for the runtime engine, the cluster
-/// dispatcher, and both replay twins; it composes with
-/// `ChaosConfig::brownout_mask` (both mask the same completions slice —
-/// whichever ladder is deeper wins). Returns whether anything was
-/// masked.
-#[inline]
-pub fn class_pressure_mask(
-    degrade_rank: &[u32],
-    backlog_us: f64,
-    narrow_backlog_us: f64,
-    table_only_backlog_us: f64,
-    completions: &mut [f64],
-) -> bool {
-    if backlog_us < narrow_backlog_us {
-        return false;
-    }
-    let min_masked = if backlog_us >= table_only_backlog_us { 1 } else { 2 };
-    if degrade_rank.iter().all(|&r| r >= min_masked) {
-        return false;
-    }
-    let mut masked = false;
-    for (c, &r) in completions.iter_mut().zip(degrade_rank) {
-        if r >= min_masked {
-            *c = f64::INFINITY;
-            masked = true;
-        }
-    }
-    masked
 }
 
 #[cfg(test)]
@@ -421,44 +380,6 @@ mod tests {
         let mut s = Scheduler::new(toy_mappings(), SchedulerConfig::default());
         let d = s.route(4096, 1.0).unwrap();
         assert_eq!(d.accuracy, 0.78);
-    }
-
-    #[test]
-    fn class_mask_narrows_then_tables_then_skips() {
-        // Ranks for a hybrid/dhe/table candidate set.
-        let ranks = [2u32, 1, 0];
-        // Below the narrow rung: untouched.
-        let mut c = vec![10.0, 20.0, 30.0];
-        assert!(!class_pressure_mask(&ranks, 99.0, 100.0, 200.0, &mut c));
-        assert_eq!(c, vec![10.0, 20.0, 30.0]);
-        // Narrow rung: only rank 2 (hybrid) masked.
-        assert!(class_pressure_mask(&ranks, 150.0, 100.0, 200.0, &mut c));
-        assert_eq!(c[0], f64::INFINITY);
-        assert_eq!(&c[1..], &[20.0, 30.0]);
-        // Table-only rung: ranks 1-2 masked, rank 0 never.
-        let mut c = vec![10.0, 20.0, 30.0];
-        assert!(class_pressure_mask(&ranks, 250.0, 100.0, 200.0, &mut c));
-        assert_eq!(c[0], f64::INFINITY);
-        assert_eq!(c[1], f64::INFINITY);
-        assert_eq!(c[2], 30.0);
-        // A set with no rank-0 path at the table-only rung would be
-        // emptied by masking, so the mask is skipped entirely.
-        let mut c = vec![10.0, 20.0];
-        assert!(!class_pressure_mask(&[2, 1], 250.0, 100.0, 200.0, &mut c));
-        assert_eq!(c, vec![10.0, 20.0]);
-    }
-
-    #[test]
-    fn strict_class_thresholds_never_mask() {
-        let mut c = vec![10.0, 20.0, 30.0];
-        assert!(!class_pressure_mask(
-            &[2, 1, 0],
-            1e12,
-            f64::INFINITY,
-            f64::INFINITY,
-            &mut c
-        ));
-        assert_eq!(c, vec![10.0, 20.0, 30.0]);
     }
 
     #[test]

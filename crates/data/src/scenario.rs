@@ -562,20 +562,9 @@ impl ChaosConfig {
         Ok(())
     }
 
-    /// Applies the brownout candidate-narrowing ladder to a routing
-    /// candidate set: masks (sets to `+inf`) every completion whose
-    /// degrade rank the current rung has turned off, so the scheduler's
-    /// min-completion fallback never picks it while any finite
-    /// candidate remains. Rung 1 (`backlog >= brownout_narrow_us`)
-    /// masks rank 2 (hybrid); rung 2 (`>= brownout_table_only_us`)
-    /// masks ranks 1–2 (DHE too). Rank 0 (the replicated table path)
-    /// is never masked, and a masking that would empty the candidate
-    /// set entirely (e.g. a fixed-hybrid policy) is skipped. Returns
-    /// whether anything was masked.
-    ///
-    /// This is the single shared implementation for the runtime
-    /// dispatcher and the serving twin replay: both call it with the
-    /// same ranks and backlog, so their routing degrades identically.
+    /// The brownout candidate-narrowing ladder: [`degrade_mask`] at this
+    /// config's rungs when `brownout` is armed. Returns whether
+    /// anything was masked.
     #[inline]
     pub fn brownout_mask(
         &self,
@@ -583,21 +572,14 @@ impl ChaosConfig {
         backlog_us: f64,
         completions: &mut [f64],
     ) -> bool {
-        if !self.brownout || backlog_us < self.brownout_narrow_us {
-            return false;
-        }
-        let min_masked = if backlog_us >= self.brownout_table_only_us { 1 } else { 2 };
-        if degrade_rank.iter().all(|&r| r >= min_masked) {
-            return false;
-        }
-        let mut masked = false;
-        for (c, &r) in completions.iter_mut().zip(degrade_rank) {
-            if r >= min_masked {
-                *c = f64::INFINITY;
-                masked = true;
-            }
-        }
-        masked
+        self.brownout
+            && degrade_mask(
+                degrade_rank,
+                backlog_us,
+                self.brownout_narrow_us,
+                self.brownout_table_only_us,
+                completions,
+            )
     }
 
     /// Whether the shed rung is reached at `backlog_us` and `sequence`
@@ -610,6 +592,42 @@ impl ChaosConfig {
             && self.shed_modulus > 0
             && sequence.is_multiple_of(self.shed_modulus)
     }
+}
+
+/// The degrade ladder over Algorithm 2's candidate set, shared by the
+/// chaos brownout ([`ChaosConfig::brownout_mask`]) and the per-tenant
+/// SLA-class pressure rungs ([`crate::traffic::SlaClass`]): at
+/// `backlog_us >= narrow_us`, candidates of degrade rank 2 (hybrid)
+/// are masked to `+inf`; at `>= table_only_us`, ranks 1–2 (DHE too).
+/// Rank 0 (the replicated table path) is never masked, a masking that
+/// would empty the candidate set (e.g. a fixed-hybrid policy) is
+/// skipped, and `f64::INFINITY` rungs (a strict class) never mask.
+/// Both ladders mask the same completions slice, so the deeper one
+/// wins; masked costs stay visible as `+inf` slots in the
+/// `RouteDecision` trace event. Returns whether anything was masked.
+#[inline]
+pub fn degrade_mask(
+    degrade_rank: &[u32],
+    backlog_us: f64,
+    narrow_us: f64,
+    table_only_us: f64,
+    completions: &mut [f64],
+) -> bool {
+    if backlog_us < narrow_us {
+        return false;
+    }
+    let min_masked = if backlog_us >= table_only_us { 1 } else { 2 };
+    if degrade_rank.iter().all(|&r| r >= min_masked) {
+        return false;
+    }
+    let mut masked = false;
+    for (c, &r) in completions.iter_mut().zip(degrade_rank) {
+        if r >= min_masked {
+            *c = f64::INFINITY;
+            masked = true;
+        }
+    }
+    masked
 }
 
 /// Salt mixed into [`FaultPlan::generate`]'s seed so fault draws never
@@ -921,5 +939,43 @@ mod tests {
                 "{label}: mean size {mean}"
             );
         }
+    }
+
+    #[test]
+    fn class_mask_narrows_then_tables_then_skips() {
+        // Ranks for a hybrid/dhe/table candidate set.
+        let ranks = [2u32, 1, 0];
+        // Below the narrow rung: untouched.
+        let mut c = vec![10.0, 20.0, 30.0];
+        assert!(!degrade_mask(&ranks, 99.0, 100.0, 200.0, &mut c));
+        assert_eq!(c, vec![10.0, 20.0, 30.0]);
+        // Narrow rung: only rank 2 (hybrid) masked.
+        assert!(degrade_mask(&ranks, 150.0, 100.0, 200.0, &mut c));
+        assert_eq!(c[0], f64::INFINITY);
+        assert_eq!(&c[1..], &[20.0, 30.0]);
+        // Table-only rung: ranks 1-2 masked, rank 0 never.
+        let mut c = vec![10.0, 20.0, 30.0];
+        assert!(degrade_mask(&ranks, 250.0, 100.0, 200.0, &mut c));
+        assert_eq!(c[0], f64::INFINITY);
+        assert_eq!(c[1], f64::INFINITY);
+        assert_eq!(c[2], 30.0);
+        // A set with no rank-0 path at the table-only rung would be
+        // emptied by masking, so the mask is skipped entirely.
+        let mut c = vec![10.0, 20.0];
+        assert!(!degrade_mask(&[2, 1], 250.0, 100.0, 200.0, &mut c));
+        assert_eq!(c, vec![10.0, 20.0]);
+    }
+
+    #[test]
+    fn strict_class_thresholds_never_mask() {
+        let mut c = vec![10.0, 20.0, 30.0];
+        assert!(!degrade_mask(
+            &[2, 1, 0],
+            1e12,
+            f64::INFINITY,
+            f64::INFINITY,
+            &mut c
+        ));
+        assert_eq!(c, vec![10.0, 20.0, 30.0]);
     }
 }

@@ -27,7 +27,7 @@
 //! The [`SlaClass`] carried per tenant is the routing contract the
 //! runtime, cluster, and both replay twins share: under backlog
 //! pressure a *loose* class's expensive path candidates are masked
-//! first (`mprec_core::scheduler::class_pressure_mask`) and its
+//! first ([`crate::scenario::degrade_mask`]) and its
 //! queries are shed first, composing with the global chaos brownout
 //! ladder. A *strict* class is only ever degraded by the global
 //! ladder, never by class pressure.

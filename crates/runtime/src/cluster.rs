@@ -120,7 +120,7 @@ use mprec_serving::dispatch::{
 use mprec_serving::replay::ReplayConfig;
 use mprec_serving::ServingOutcome;
 use mprec_tensor::Matrix;
-use mprec_trace::{EventRing, MetricId, MetricsSnapshot, TraceConfig, TraceEvent, TraceRecording};
+use mprec_trace::{EventRing, TraceConfig, TraceEvent, TraceRecording};
 use parking_lot::{Condvar, Mutex};
 
 pub use mprec_core::ring::FeatureShardPlan;
@@ -386,12 +386,6 @@ pub struct EpochReport {
     /// starts cold here — the post-failure hit-rate dip and its
     /// recovery are read off consecutive epochs.
     pub per_node_cache: Vec<CacheStats>,
-    /// Metrics-registry snapshot taken at the epoch's closing
-    /// quiescence barrier, one slot per replica (parallel to
-    /// [`ClusterReport::node_ids`]). Counters are cumulative across
-    /// epochs; gauges (queue depth, occupancy, SLA-slack percentiles)
-    /// are point-in-time values of the epoch that just closed.
-    pub metrics: MetricsSnapshot,
 }
 
 impl EpochReport {
@@ -723,6 +717,14 @@ impl Cluster {
         if !floats_ok {
             return Err(RuntimeError::BadConfig(
                 "sla_us > 0, gflops rates finite and > 0, waits, overheads and disk_hit_us >= 0".into(),
+            ));
+        }
+        // The single-stream trace's shape (a tenanted cluster serves the
+        // mix `tenants.validate` checked instead): sizes clamp to
+        // `1..=max_size`, arrivals step by `1e6 / qps` µs.
+        if !cfg.tenants.is_enabled() && (cfg.trace.max_size == 0 || !rate_ok(&cfg.trace.qps)) {
+            return Err(RuntimeError::BadConfig(
+                "trace.max_size >= 1 and trace.qps finite and > 0".into(),
             ));
         }
         let mut ids: Vec<u32> = (0..cfg.nodes as u32).collect();
@@ -1102,8 +1104,6 @@ impl Cluster {
             dyn_epochs: Vec::new(),
             chunk_flips: 0,
             epoch_snapshots: Vec::new(),
-            epoch_metrics: Vec::new(),
-            slack: LatencyHistogram::new(),
             virtual_histogram: LatencyHistogram::new(),
             tenant_vhist: vec![LatencyHistogram::default(); self.cfg.tenants.tenant_count()],
         };
@@ -1251,9 +1251,6 @@ impl Cluster {
         worker_rings: Vec<(String, EventRing)>,
         start: Instant,
     ) -> ClusterReport {
-        // Assemble the recording first so the dropped-events metric in
-        // the final epoch snapshot covers every track, not just the
-        // dispatcher's.
         let trace = self.cfg.recorder.enabled.then(|| {
             let mut rec = TraceRecording::new(tally.labels.clone());
             if let Some(ring) = tally.ring.take() {
@@ -1267,21 +1264,14 @@ impl Cluster {
             }
             rec
         });
-        if let Some(rec) = &trace {
-            tally.registry.set(MetricId::DroppedTraceEvents, 0, rec.total_dropped());
-        }
         let per_node_cache = self.cache_snapshot();
         // Final epoch closes at end-of-serve: its delta runs from the
-        // last boundary snapshot to the final counters, and its metric
-        // window closes at the last virtual completion. The epoch index
+        // last boundary snapshot to the final counters. The epoch index
         // space merges the static schedule with any overlay epochs the
         // adaptive planner opened during this serve.
         let adaptive = self.adaptive.lock();
         let total_epochs = self.epochs.len() + adaptive.len();
         exec.epoch_snapshots.push(per_node_cache.clone());
-        // The backlog is drained by definition at end-of-serve.
-        let final_start_us = self.epoch_at(&adaptive, total_epochs - 1).start_us;
-        exec.close_epoch_metrics(final_start_us, tally.last_done_us, &[], &mut tally);
         let mut epochs = Vec::with_capacity(total_epochs);
         let mut prev: Vec<CacheStats> = self.nodes.iter().map(|_| CacheStats::default()).collect();
         for (e, snapshot) in exec.epoch_snapshots.iter().enumerate() {
@@ -1296,7 +1286,6 @@ impl Cluster {
                 live: ep.live.clone(),
                 batches: tally.epoch_batches[e],
                 per_node_cache: deltas,
-                metrics: exec.epoch_metrics.get(e).cloned().unwrap_or_default(),
             });
             prev = snapshot.clone();
         }
@@ -1320,7 +1309,7 @@ impl Cluster {
             })
             .collect();
         let final_plan = &self.epoch_at(&adaptive, total_epochs - 1).plan;
-        let virtual_sla_violations = tally.registry.total(MetricId::SlaViolations);
+        let (virtual_sla_violations, shed_queries) = (tally.sla_violations(), tally.shed_queries());
         let outcome = ServingOutcome {
             policy: format!(
                 "cluster:{}@{}n/{}w",
@@ -1355,10 +1344,10 @@ impl Cluster {
             path_decisions: tally.decisions.iter().map(|&idx| self.paths[idx]).collect(),
             retried_batches: tally.retried_batches,
             retried_queries: tally.retried_queries,
-            shed_queries: tally.registry.total(MetricId::ShedQueries),
-            leg_timeouts: tally.registry.total(MetricId::LegTimeouts),
-            hedged_legs: tally.registry.total(MetricId::HedgedLegs),
-            leg_retries: tally.registry.total(MetricId::LegRetries),
+            shed_queries,
+            leg_timeouts: tally.leg_timeouts,
+            hedged_legs: tally.hedged_legs,
+            leg_retries: tally.leg_retries,
             migration_steps: exec.chunk_flips + adaptive.len() as u64,
             adaptive_replans: adaptive.len() as u64,
             tenants,
@@ -1372,8 +1361,7 @@ impl Cluster {
 
 /// The threaded executor: the dispatcher core's four IO points over
 /// this cluster's node queues, progress ledger and wall clock, plus the
-/// telemetry only a real serve has (histograms, cache snapshots, metric
-/// windows).
+/// telemetry only a real serve has (histograms, cache snapshots).
 struct Threaded<'a> {
     cluster: &'a Cluster,
     node_queues: &'a [Arc<BoundedQueue<ScatterJob>>],
@@ -1387,13 +1375,8 @@ struct Threaded<'a> {
     /// Streaming chunk flips executed.
     chunk_flips: u64,
     /// Per-replica cache snapshots taken at each processed epoch
-    /// boundary (quiescent), and one registry snapshot per closed
-    /// epoch, both in epoch order.
+    /// boundary (quiescent), in epoch order.
     epoch_snapshots: Vec<Vec<CacheStats>>,
-    epoch_metrics: Vec<MetricsSnapshot>,
-    /// SLA-slack distribution of the current epoch (reset at each
-    /// barrier).
-    slack: LatencyHistogram,
     /// Virtual latency per completed query: all tenants, and per
     /// tenant (a served trace only carries configured tenants).
     virtual_histogram: LatencyHistogram,
@@ -1401,51 +1384,6 @@ struct Threaded<'a> {
 }
 
 impl Threaded<'_> {
-    /// Closes the newest snapshotted epoch's metric window, `start_us`
-    /// to `at_us`: folds its cache-tier deltas into the counters,
-    /// freezes the point-in-time gauges (virtual queue depth from
-    /// `free_at`, FLOPs occupancy, SLA-slack percentiles), pushes one
-    /// registry snapshot, and resets the per-epoch accumulators.
-    fn close_epoch_metrics(
-        &mut self,
-        start_us: f64,
-        at_us: f64,
-        free_at: &[f64],
-        tally: &mut DispatchTally,
-    ) {
-        let registry = &tally.registry;
-        let closing = self.epoch_snapshots.len() - 1;
-        let span = (at_us - start_us).max(1.0);
-        let zeros: Vec<CacheStats> = Vec::new();
-        let prev = if closing == 0 {
-            &zeros
-        } else {
-            &self.epoch_snapshots[closing - 1]
-        };
-        for (slot, now) in self.epoch_snapshots[closing].iter().enumerate() {
-            let before = prev.get(slot).copied().unwrap_or_default();
-            let d = stats_delta(now, &before);
-            registry.add(MetricId::StaticTierHits, slot, d.encoder_hits);
-            registry.add(MetricId::DynamicTierHits, slot, d.dynamic_hits);
-            registry.add(MetricId::DiskTierHits, slot, d.disk_hits);
-            registry.add(MetricId::TierMisses, slot, d.encoder_misses);
-            let backlog = free_at.get(slot).map_or(0.0, |&f| (f - at_us).max(0.0));
-            registry.set(MetricId::QueueDepthUs, slot, backlog as u64);
-            let permille = (tally.busy_us[slot].min(span) * 1000.0 / span) as u64;
-            registry.set(MetricId::FlopsOccupancyPermille, slot, permille);
-        }
-        let slack = self.slack.summary();
-        registry.set(MetricId::SlaSlackP50Us, 0, slack.p50_us as u64);
-        registry.set(MetricId::SlaSlackP95Us, 0, slack.p95_us as u64);
-        registry.set(MetricId::SlaSlackP99Us, 0, slack.p99_us as u64);
-        if let Some(ring) = tally.ring.as_ref() {
-            registry.set(MetricId::DroppedTraceEvents, 0, ring.dropped_events());
-        }
-        self.epoch_metrics.push(registry.snapshot());
-        tally.busy_us.fill(0.0);
-        self.slack = LatencyHistogram::new();
-    }
-
     /// Wall-clock quiescence (zero virtual cost): every scattered batch
     /// is merged before the boundary's cache snapshot, so per-epoch
     /// cache deltas and shipped segments are exact and a failed node's
@@ -1470,13 +1408,7 @@ impl Executor for Threaded<'_> {
     /// barrier in *virtual* time only: it flips one chunk of ownership
     /// instead of the whole plan, so routing never pays a
     /// stop-the-world profile shock.
-    fn barrier(
-        &mut self,
-        event: usize,
-        at_us: f64,
-        free_at: &[f64],
-        tally: &mut DispatchTally,
-    ) -> bool {
+    fn barrier(&mut self, event: usize, at_us: f64, tally: &mut DispatchTally) -> bool {
         let cluster = self.cluster;
         if !self.quiesce_and_snapshot() {
             return false;
@@ -1519,7 +1451,6 @@ impl Executor for Threaded<'_> {
             // ones; no cache or queue side effects.
             RebalanceAction::PenaltyLift => {}
         }
-        self.close_epoch_metrics(cluster.epochs[event].start_us, at_us, free_at, tally);
         true
     }
 
@@ -1531,7 +1462,6 @@ impl Executor for Threaded<'_> {
         idlest: u32,
         moved: &[usize],
         at_us: f64,
-        free_at: &[f64],
         tally: &mut DispatchTally,
     ) -> Option<ClusterEpochSpec> {
         let cluster = self.cluster;
@@ -1548,8 +1478,6 @@ impl Executor for Threaded<'_> {
         let (new_epoch, moves) = ((cur_epoch + 1) as u64, moved.len() as u64);
         tally.trace(|| TraceEvent::migration_start(at_us, idlest, moves, new_epoch));
         tally.trace(|| TraceEvent::migration_done(at_us, idlest, entries, new_epoch, moves));
-        let start_us = cur.start_us;
-        self.close_epoch_metrics(start_us, at_us, free_at, tally);
         let spec = epoch.spec.clone();
         self.dyn_epochs.push(epoch);
         Some(spec)
@@ -1561,7 +1489,6 @@ impl Executor for Threaded<'_> {
     fn scatter(&mut self, flight: &Flight, pending: &[&Query]) -> bool {
         let cluster = self.cluster;
         let cfg = &cluster.cfg;
-        let sla_us = cfg.tenants.class_of(flight.tenant as u32, cfg.sla_us).sla_us;
         let now = Instant::now();
         let mut specs = Vec::with_capacity(pending.len());
         let mut queries = Vec::with_capacity(pending.len());
@@ -1569,7 +1496,6 @@ impl Executor for Threaded<'_> {
         for q in pending {
             let virtual_latency = flight.done_us - q.arrival_us as f64;
             self.virtual_histogram.record(virtual_latency);
-            self.slack.record((sla_us - virtual_latency).max(0.0));
             self.tenant_vhist[flight.tenant].record(virtual_latency);
             specs.push((q.id, q.size as u64));
             total += q.size;
@@ -2049,6 +1975,18 @@ mod tests {
             ("NaN capacity", ClusterConfig { node_capacity_gflops: vec![0.5, f64::NAN], ..base() }),
             ("zero capacity", ClusterConfig { node_capacity_gflops: vec![0.0], ..base() }),
         ] {
+            assert!(matches!(Cluster::new(cfg), Err(RuntimeError::BadConfig(_))), "{what}");
+        }
+        // A zero size cap panicked `serve` in `clamp(1, 0)`; a zero
+        // rate put the first arrival at `u64::MAX` µs.
+        for (what, max_size, qps) in [
+            ("zero max_size", 0, 5000.0),
+            ("zero qps", 16, 0.0),
+            ("NaN qps", 16, f64::NAN),
+            ("negative qps", 16, -1.0),
+        ] {
+            let mut cfg = base();
+            (cfg.trace.max_size, cfg.trace.qps) = (max_size, qps);
             assert!(matches!(Cluster::new(cfg), Err(RuntimeError::BadConfig(_))), "{what}");
         }
         assert!(Cluster::new(ClusterConfig { sla_us: f64::INFINITY, ..base() }).is_ok(), "no SLA");

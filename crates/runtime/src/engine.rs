@@ -35,12 +35,12 @@ use mprec_data::traffic::TrafficConfig;
 use mprec_embed::{DheConfig, RepresentationConfig};
 use mprec_hwsim::{Platform, WorkloadBuilder};
 use mprec_serving::ServingOutcome;
-use mprec_trace::{MetricsSnapshot, TraceConfig, TraceRecording};
+use mprec_trace::{TraceConfig, TraceRecording};
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::histogram::LatencyHistogram;
 use crate::model::{PathKind, RuntimeModel, RuntimeModelConfig};
-use crate::{Result, RuntimeError};
+use crate::Result;
 
 /// Effective model accuracy per path (the runtime's Table-2 book; the
 /// synthetic model here does not measure accuracy online).
@@ -253,8 +253,6 @@ pub struct RuntimeReport {
     /// `merger`) when [`RuntimeConfig::recorder`] was enabled, `None`
     /// otherwise.
     pub trace: Option<TraceRecording>,
-    /// End-of-run metrics snapshot (slot 0 = the whole engine).
-    pub metrics: MetricsSnapshot,
 }
 
 /// The single-node serving engine: build once, serve a trace.
@@ -270,12 +268,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::BadConfig`] on degenerate configuration and
-    /// propagates model-construction errors.
+    /// Returns [`RuntimeError::BadConfig`](crate::RuntimeError::BadConfig)
+    /// on degenerate configuration and propagates model-construction
+    /// errors.
     pub fn new(cfg: RuntimeConfig) -> Result<Self> {
-        if cfg.workers == 0 {
-            return Err(RuntimeError::BadConfig("workers must be >= 1".into()));
-        }
         let cluster = Cluster::new(ClusterConfig {
             nodes: 1,
             workers_per_node: cfg.workers,
@@ -338,7 +334,7 @@ impl Engine {
     ///
     /// Surfaces any worker-side execution error.
     pub fn serve(&self) -> Result<RuntimeReport> {
-        let mut r = self.cluster.serve()?;
+        let r = self.cluster.serve()?;
         Ok(RuntimeReport {
             outcome: ServingOutcome {
                 policy: format!("runtime:{}@{}w", self.cfg.route, self.cfg.workers),
@@ -355,9 +351,6 @@ impl Engine {
             checksum: r.checksum,
             workers: self.cfg.workers,
             trace: r.trace,
-            // A churn-free serve has exactly one epoch; its closing
-            // snapshot is the end-of-run snapshot.
-            metrics: r.epochs.pop().map(|e| e.metrics).unwrap_or_default(),
         })
     }
 }
@@ -468,6 +461,7 @@ pub(crate) fn build_path_mappings(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RuntimeError;
 
     fn quick_cfg() -> RuntimeConfig {
         RuntimeConfig {

@@ -166,37 +166,13 @@ impl LatencyHistogram {
 
     /// [`quantile_us`](Self::quantile_us) with the percentile spelled as
     /// a percentage: `percentile(95.0) == quantile_us(0.95)`. Benches
-    /// and the metrics registry use this instead of re-implementing
-    /// quantile extraction. `p <= 0` is the exact minimum, `p >= 100`
-    /// the exact maximum; out-of-range and non-finite `p` clamp rather
-    /// than panic or alias into the bucket grid.
+    /// use this instead of re-implementing quantile extraction. `p <= 0`
+    /// is the exact minimum, `p >= 100` the exact maximum; out-of-range
+    /// and non-finite `p` clamp rather than panic or alias into the
+    /// bucket grid.
     pub fn percentile(&self, p: f64) -> f64 {
         self.quantile_us(p / 100.0)
     }
-
-    /// p50/p95/p99/max digest of the recorded distribution (all zeros
-    /// when empty).
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            p50_us: self.percentile(50.0),
-            p95_us: self.percentile(95.0),
-            p99_us: self.percentile(99.0),
-            max_us: self.max_us(),
-        }
-    }
-}
-
-/// Quantile digest returned by [`LatencyHistogram::summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencySummary {
-    /// Median latency (µs, bucket upper bound).
-    pub p50_us: f64,
-    /// 95th-percentile latency (µs, bucket upper bound).
-    pub p95_us: f64,
-    /// 99th-percentile latency (µs, bucket upper bound).
-    pub p99_us: f64,
-    /// Exact observed maximum (µs).
-    pub max_us: f64,
 }
 
 #[cfg(test)]
@@ -336,26 +312,5 @@ mod tests {
                 "p{p}: {got} vs exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn summary_matches_known_distribution() {
-        let mut h = LatencyHistogram::new();
-        // 90 fast + 9 medium + 1 slow: p50 in the fast band, p95/p99 in
-        // the medium band, max exact.
-        for _ in 0..90 {
-            h.record(100.0);
-        }
-        for _ in 0..9 {
-            h.record(1000.0);
-        }
-        h.record(50_000.0);
-        let s = h.summary();
-        let g = h.growth_factor();
-        assert!(s.p50_us >= 100.0 && s.p50_us <= 100.0 * g, "p50 {}", s.p50_us);
-        assert!(s.p95_us >= 1000.0 && s.p95_us <= 1000.0 * g, "p95 {}", s.p95_us);
-        assert!(s.p99_us >= 1000.0 && s.p99_us <= 1000.0 * g, "p99 {}", s.p99_us);
-        assert_eq!(s.max_us, 50_000.0);
-        assert_eq!(LatencyHistogram::new().summary(), LatencySummary::default());
     }
 }

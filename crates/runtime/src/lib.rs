@@ -63,15 +63,15 @@ pub use engine::{
     degrade_rank, serve, Engine, PathAccuracy, RoutePolicy, RuntimeConfig, RuntimeReport,
     TenantReport,
 };
-pub use histogram::{LatencyHistogram, LatencySummary};
+pub use histogram::LatencyHistogram;
 pub use model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};
 pub use queue::BoundedQueue;
 // Re-exported so runtime and simulator callers share one outcome type
 // (and its aggregation code) instead of duplicating it.
 pub use mprec_serving::{PathUsage, ServingOutcome};
 // Re-exported so report consumers reach the flight-recorder types
-// (recordings, metrics snapshots, exporters) without a separate dep.
-pub use mprec_trace::{MetricId, MetricsSnapshot, TraceConfig, TraceRecording};
+// (config and recordings) without a separate dep.
+pub use mprec_trace::{TraceConfig, TraceRecording};
 
 use std::error::Error;
 use std::fmt;

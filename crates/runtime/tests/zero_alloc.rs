@@ -14,13 +14,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mprec_core::scheduler::class_pressure_mask;
-use mprec_data::scenario::{ChaosConfig, FaultEvent, FaultKind, FaultPlan};
+use mprec_data::scenario::{degrade_mask, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
 use mprec_data::traffic::{SlaClass, TenantSpec, TrafficConfig};
 use mprec_runtime::{
     Cluster, ClusterConfig, LatencyHistogram, PathKind, RuntimeModel, RuntimeModelConfig,
 };
-use mprec_trace::{EventRing, MetricId, MetricsRegistry, TraceEvent};
+use mprec_trace::{EventRing, TraceEvent};
 
 struct CountingAllocator;
 
@@ -141,9 +140,8 @@ fn steady_state_execute_makes_zero_heap_allocations() {
     // The flight recorder's steady state: the event ring is preallocated
     // at construction, records are fixed-size struct writes, and a full
     // ring drops its oldest slot in place — so recording (including the
-    // spill path) and metric updates must allocate nothing.
+    // spill path) must allocate nothing.
     let mut ring = EventRing::with_capacity(64);
-    let registry = MetricsRegistry::new(4);
     for i in 0..128u64 {
         ring.record(TraceEvent::enqueue(i as f64, i, 5));
     }
@@ -154,8 +152,6 @@ fn steady_state_execute_makes_zero_heap_allocations() {
         for i in 0..64u64 {
             ring.record(TraceEvent::enqueue(i as f64, i, 5));
             ring.record(TraceEvent::complete(i as f64 + 100.0, i, i / 8, 100.0));
-            registry.add(MetricId::BatchesDispatched, (i % 4) as usize, 1);
-            registry.set(MetricId::QueueDepthUs, (i % 4) as usize, i);
         }
         min_delta = min_delta.min(allocations() - before);
     }
@@ -255,7 +251,7 @@ fn steady_state_execute_makes_zero_heap_allocations() {
                 continue;
             }
             completions = [1.0, 2.0, 3.0];
-            if class_pressure_mask(
+            if degrade_mask(
                 &degrade_rank,
                 backlog_us,
                 class.narrow_backlog_us,

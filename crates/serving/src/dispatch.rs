@@ -16,11 +16,11 @@
 
 use mprec_core::planner::MappingSet;
 use mprec_core::ring::FeatureShardPlan;
-use mprec_core::scheduler::{class_pressure_mask, select_mapping};
+use mprec_core::scheduler::select_mapping;
 use mprec_data::query::Query;
-use mprec_data::scenario::{self, ChaosConfig, FaultPlan};
+use mprec_data::scenario::{self, degrade_mask, ChaosConfig, FaultPlan};
 use mprec_data::traffic::SlaClass;
-use mprec_trace::{EventRing, MetricId, MetricsRegistry, TraceConfig, TraceEvent};
+use mprec_trace::{EventRing, TraceConfig, TraceEvent};
 
 use crate::outcome::PathUsage;
 use crate::replay::{degrade_rank_of, tenant_count_of, ReplayConfig, TenantOutcome};
@@ -94,7 +94,7 @@ pub struct DispatchSpec<'a> {
     pub faults: &'a FaultPlan,
     pub chaos: ChaosConfig,
     /// Every node id the epochs mention; a node's position here is its
-    /// slot in the ledgers and the metrics registry.
+    /// slot in the `free_at` ledger.
     pub node_ids: &'a [u32],
     /// Micro-batching rules and per-tenant SLA classes.
     pub batching: &'a ReplayConfig,
@@ -135,18 +135,10 @@ pub trait Executor {
     /// time `t_us` (immediately when nothing is paced).
     fn pace(&mut self, t_us: f64);
 
-    /// Static event `event` is due at `at_us`: quiesce, snapshot, move
-    /// state, and close the departing epoch's metric window — its
-    /// gauges freeze from `free_at` (per slot: when the node's virtual
-    /// queue drains) and `tally.busy_us`, which the executor resets;
-    /// membership events go on `tally.ring`. `false` aborts.
-    fn barrier(
-        &mut self,
-        event: usize,
-        at_us: f64,
-        free_at: &[f64],
-        tally: &mut DispatchTally,
-    ) -> bool;
+    /// Static event `event` is due at `at_us`: quiesce, snapshot and
+    /// move state; membership events go on `tally.ring`. `false`
+    /// aborts.
+    fn barrier(&mut self, event: usize, at_us: f64, tally: &mut DispatchTally) -> bool;
 
     /// The adaptive trigger fired at `at_us`: migrate `moved` (features
     /// of the busiest node) to `idlest` behind the same kind of barrier
@@ -156,7 +148,6 @@ pub trait Executor {
         idlest: u32,
         moved: &[usize],
         at_us: f64,
-        free_at: &[f64],
         tally: &mut DispatchTally,
     ) -> Option<ClusterEpochSpec>;
 
@@ -166,9 +157,7 @@ pub trait Executor {
 }
 
 /// Everything a dispatch decided; both drivers project their reports
-/// from it. Counts that have a metric — sheds, SLA violations, leg
-/// timeouts / hedges / retries — are kept once, in `registry`
-/// ([`MetricsRegistry::total`]).
+/// from it.
 #[derive(Debug)]
 pub struct DispatchTally {
     /// Path label per mapping index.
@@ -178,12 +167,18 @@ pub struct DispatchTally {
     pub correct_samples: f64,
     /// Mapping index per micro-batch, in dispatch order.
     pub decisions: Vec<usize>,
-    /// Per-tenant rows, indexed by tenant id; they partition the trace.
+    /// Per-tenant rows, indexed by tenant id; they partition the trace
+    /// and hold the only shed and SLA-violation counts.
     pub tenants: Vec<TenantOutcome>,
     /// Batches restarted by an in-flight node failure, and the queries
     /// inside them.
     pub retried_batches: u64,
     pub retried_queries: u64,
+    /// Scatter legs past their virtual deadline, hedge legs issued, and
+    /// backoff retries of timed-out legs.
+    pub leg_timeouts: u64,
+    pub hedged_legs: u64,
+    pub leg_retries: u64,
     /// Batches routed per epoch (static epochs, then overlays).
     pub epoch_batches: Vec<u64>,
     /// Latest virtual completion.
@@ -192,14 +187,20 @@ pub struct DispatchTally {
     pub aborted: bool,
     /// The dispatcher track (`None` when tracing is off).
     pub ring: Option<EventRing>,
-    /// Typed metric cells, one slot per node (slot 0 doubles as the
-    /// global slot for shed / violation / brownout counters).
-    pub registry: MetricsRegistry,
-    /// Per slot: virtual busy-µs since the last epoch boundary.
-    pub busy_us: Vec<f64>,
 }
 
 impl DispatchTally {
+    /// Queries shed before routing, over every tenant.
+    pub fn shed_queries(&self) -> u64 {
+        self.tenants.iter().map(|t| t.shed_queries).sum()
+    }
+
+    /// Queries whose virtual latency exceeded their class's SLA, over
+    /// every tenant.
+    pub fn sla_violations(&self) -> u64 {
+        self.tenants.iter().map(|t| t.sla_violations).sum()
+    }
+
     /// Records `event()` on the dispatcher track; the event is only
     /// built when the flight recorder is on.
     pub fn trace(&mut self, event: impl FnOnce() -> TraceEvent) {
@@ -321,7 +322,6 @@ struct Core<'a> {
 
 impl<'a> Core<'a> {
     fn new(spec: DispatchSpec<'a>, trace: &[Query]) -> Self {
-        let slots = spec.node_ids.len();
         let tenants = tenant_count_of(trace, spec.batching);
         let boot = &spec.epochs[0].mappings;
         let tally = DispatchTally {
@@ -336,16 +336,17 @@ impl<'a> Core<'a> {
             tenants: vec![TenantOutcome::default(); tenants],
             retried_batches: 0,
             retried_queries: 0,
+            leg_timeouts: 0,
+            hedged_legs: 0,
+            leg_retries: 0,
             epoch_batches: vec![0; spec.epochs.len()],
             last_done_us: 0.0,
             aborted: false,
             ring: spec.recorder.ring(),
-            registry: MetricsRegistry::new(slots),
-            busy_us: vec![0.0; slots],
         };
         Core {
             tally,
-            free_at: vec![0.0; slots],
+            free_at: vec![0.0; spec.node_ids.len()],
             cur_epoch: 0,
             overlays: Vec::new(),
             last_adaptive_us: f64::NEG_INFINITY,
@@ -387,7 +388,7 @@ impl<'a> Core<'a> {
             && !self.tally.aborted
         {
             let at_us = self.spec.events[self.cur_epoch].at_us;
-            if !exec.barrier(self.cur_epoch, at_us, &self.free_at, &mut self.tally) {
+            if !exec.barrier(self.cur_epoch, at_us, &mut self.tally) {
                 self.tally.aborted = true;
                 break;
             }
@@ -514,7 +515,7 @@ impl<'a> Core<'a> {
         if !fire {
             return true;
         }
-        let overlay = exec.build_overlay(idlest, &moved, flush_at_us, free_at, &mut self.tally);
+        let overlay = exec.build_overlay(idlest, &moved, flush_at_us, &mut self.tally);
         let Some(overlay) = overlay else {
             return false;
         };
@@ -552,7 +553,6 @@ impl<'a> Core<'a> {
             if shed {
                 *samples -= q.size as u64;
                 tally.tenants[tenant].shed_queries += 1;
-                tally.registry.add(MetricId::ShedQueries, 0, 1);
                 tally.trace(|| TraceEvent::shed(flush_at_us, q.id, q.size as u64, backlog_us));
             }
             !shed
@@ -563,7 +563,7 @@ impl<'a> Core<'a> {
     /// from the capacity-aware slowest-shard profile, plus the queueing
     /// wait of its most-backlogged scatter target. The brownout ladder
     /// ([`ChaosConfig::brownout_mask`]) and then the flushing tenant's
-    /// SLA-class ladder ([`class_pressure_mask`]) mask degraded
+    /// SLA-class ladder ([`degrade_mask`]) mask degraded
     /// candidates to `+inf` *before* selection, so a loose class
     /// degrades to cheaper paths while a strict class keeps the full
     /// set. Leaves every candidate's (post-mask) scored completion in
@@ -593,15 +593,11 @@ impl<'a> Core<'a> {
             self.completions.push((start - now_us) + exec);
         }
         let ranks = &self.ranks;
-        if self
-            .spec
+        self.spec
             .chaos
-            .brownout_mask(ranks, backlog_us, &mut self.completions)
-        {
-            self.tally.registry.add(MetricId::BrownoutBatches, 0, 1);
-        }
+            .brownout_mask(ranks, backlog_us, &mut self.completions);
         let class = &self.classes[tenant];
-        class_pressure_mask(
+        degrade_mask(
             ranks,
             backlog_us,
             class.narrow_backlog_us,
@@ -641,8 +637,6 @@ impl<'a> Core<'a> {
             for &id in &ep.targets[flight.idx] {
                 let slot = slot_of(node_ids, id);
                 free_at[slot] = free_at[slot].max(flush_at_us) + exec;
-                tally.registry.add(MetricId::BatchesDispatched, slot, 1);
-                tally.busy_us[slot] += exec;
             }
             return;
         }
@@ -651,14 +645,12 @@ impl<'a> Core<'a> {
         let mut batch_done = f64::NEG_INFINITY;
         for &id in &ep.targets[flight.idx] {
             let slot = slot_of(node_ids, id);
-            tally.registry.add(MetricId::BatchesDispatched, slot, 1);
             let mut a_start = start_us;
             let mut attempt = 0u32;
             let leg_done = loop {
                 let eff = exec * faults.straggler_multiplier(id, a_start);
                 let lost = faults.drops_leg(id, a_start, attempt);
                 free_at[slot] = free_at[slot].max(a_start) + eff;
-                tally.busy_us[slot] += eff;
                 let mut cand = if lost { f64::INFINITY } else { a_start + eff };
                 let deadline = a_start + timeout;
                 // Hedge once, on the first attempt: past the hedge
@@ -676,8 +668,7 @@ impl<'a> Core<'a> {
                     // eat it, a Stall can.
                     let h_lost = faults.drops_leg(h, h_start, 1);
                     free_at[hslot] = h_start + h_eff;
-                    tally.busy_us[hslot] += h_eff;
-                    tally.registry.add(MetricId::HedgedLegs, hslot, 1);
+                    tally.hedged_legs += 1;
                     tally.trace(|| TraceEvent::hedge(hedge_at, batch, id, h));
                     if !h_lost {
                         cand = cand.min(h_start + h_eff);
@@ -686,18 +677,17 @@ impl<'a> Core<'a> {
                 if cand <= deadline {
                     break cand;
                 }
-                tally.registry.add(MetricId::LegTimeouts, slot, 1);
+                tally.leg_timeouts += 1;
                 tally.trace(|| TraceEvent::timeout(deadline, batch, id, attempt, timeout));
                 if attempt >= chaos.max_retries {
                     // Retries exhausted: force completion with one more
                     // clean execution charged at the deadline, so every
                     // batch still finishes.
                     free_at[slot] = free_at[slot].max(deadline) + exec;
-                    tally.busy_us[slot] += exec;
                     break deadline + exec;
                 }
                 attempt += 1;
-                tally.registry.add(MetricId::LegRetries, slot, 1);
+                tally.leg_retries += 1;
                 // `ChaosConfig::validate` caps `max_retries` at 32, so
                 // the shift cannot overflow.
                 a_start = deadline + chaos.backoff_base_us * (1u64 << (attempt - 1)) as f64;
@@ -746,8 +736,6 @@ impl<'a> Core<'a> {
                 tally.trace(|| TraceEvent::scatter(ev.at_us, batch, id, epoch));
                 let slot = slot_of(node_ids, id);
                 free_at[slot] = free_at[slot].max(ev.at_us) + retry_exec;
-                tally.registry.add(MetricId::BatchesDispatched, slot, 1);
-                tally.busy_us[slot] += retry_exec;
             }
         }
     }
@@ -778,7 +766,6 @@ impl<'a> Core<'a> {
             let row = &mut tally.tenants[flight.tenant];
             if latency > sla_us {
                 row.sla_violations += 1;
-                tally.registry.add(MetricId::SlaViolations, 0, 1);
             }
             row.completed += 1;
             row.samples += q.size as u64;

@@ -39,7 +39,7 @@ use mprec_core::scheduler::{Scheduler, SchedulerConfig};
 use mprec_data::query::Query;
 use mprec_data::scenario;
 use mprec_data::traffic::SlaClass;
-use mprec_trace::{MetricId, TraceConfig, TraceEvent, TraceRecording};
+use mprec_trace::{TraceConfig, TraceEvent, TraceRecording};
 
 pub use crate::dispatch::{ClusterChurnSpec, ClusterEpochSpec, ClusterReplaySpec};
 use crate::dispatch::{dispatch, DispatchSpec, DispatchTally, Executor, Flight};
@@ -565,7 +565,7 @@ struct Trail {
 impl Executor for Trail {
     fn pace(&mut self, _t_us: f64) {}
 
-    fn barrier(&mut self, _: usize, _: f64, _: &[f64], _: &mut DispatchTally) -> bool {
+    fn barrier(&mut self, _: usize, _: f64, _: &mut DispatchTally) -> bool {
         true
     }
 
@@ -574,7 +574,6 @@ impl Executor for Trail {
         _idlest: u32,
         _moved: &[usize],
         _at_us: f64,
-        _free_at: &[f64],
         _tally: &mut DispatchTally,
     ) -> Option<ClusterEpochSpec> {
         unreachable!("a replay runs without the adaptive trigger")
@@ -633,16 +632,16 @@ pub fn replay_cluster_traced(
     });
     let result = ClusterReplayResult {
         retried_batches: tally.retried_batches,
-        shed_queries: tally.registry.total(MetricId::ShedQueries),
-        leg_timeouts: tally.registry.total(MetricId::LegTimeouts),
-        hedged_legs: tally.registry.total(MetricId::HedgedLegs),
-        leg_retries: tally.registry.total(MetricId::LegRetries),
+        shed_queries: tally.shed_queries(),
+        leg_timeouts: tally.leg_timeouts,
+        hedged_legs: tally.hedged_legs,
+        leg_retries: tally.leg_retries,
         outcome: ServingOutcome::from_latency_samples(
             "replay-cluster",
             trail.latencies,
             tally.tenants.iter().map(|t| t.samples).sum(),
             tally.correct_samples,
-            tally.registry.total(MetricId::SlaViolations),
+            tally.sla_violations(),
             tally.last_done_us / 1e6,
             tally.usage,
         ),

@@ -79,10 +79,8 @@
 #![warn(missing_docs)]
 
 mod chrome;
-mod metrics;
 
 pub use chrome::{chrome_trace_json, validate_chrome_json, ChromeSummary};
-pub use metrics::{MetricId, MetricsRegistry, MetricsSnapshot};
 
 /// Maximum number of execution paths a [`TraceEvent`] can carry scored
 /// costs for (table / DHE / hybrid and one spare).

@@ -71,18 +71,21 @@ trace-smoke:
 bench-smoke:
     timeout 300 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
-# Line budgets (ROADMAP item 6), one per crate that has had its diet.
+# Line budgets (ROADMAP item 6), one per crate that has had its diet or
+# must not grow silently.
 # Raise one only together with a CHANGES.md line saying what the growth
 # bought.
-runtime_loc_budget := "4850"
-core_loc_budget := "4231"
-serving_loc_budget := "2413"
+runtime_loc_budget := "4737"
+core_loc_budget := "4152"
+serving_loc_budget := "2399"
 bench_loc_budget := "1577"
+trace_loc_budget := "1695"
+data_loc_budget := "2917"
 
 # Lines of Rust per crate, then the budget checks: fails when
-# crates/{runtime,core,serving,bench}/src (src/bin/ included) has
+# crates/{runtime,core,serving,bench,trace,data}/src (src/bin/ included) has
 # outgrown its budget. Mirrors the CI step (which reads the budgets from
 # this file).
 loc:
     @for d in crates/*/src; do printf '%7d %s\n' "$(find "$d" -name '*.rs' -exec cat {} + | wc -l)" "$d"; done
-    @for cb in runtime:{{runtime_loc_budget}} core:{{core_loc_budget}} serving:{{serving_loc_budget}} bench:{{bench_loc_budget}}; do c=${cb%:*}; b=${cb#*:}; n=$(find crates/$c/src -name '*.rs' -exec cat {} + | wc -l); test "$n" -le "$b" || { echo "crates/$c/src: $n lines, over the $b-line budget"; exit 1; }; done
+    @for cb in runtime:{{runtime_loc_budget}} core:{{core_loc_budget}} serving:{{serving_loc_budget}} bench:{{bench_loc_budget}} trace:{{trace_loc_budget}} data:{{data_loc_budget}}; do c=${cb%:*}; b=${cb#*:}; n=$(find crates/$c/src -name '*.rs' -exec cat {} + | wc -l); test "$n" -le "$b" || { echo "crates/$c/src: $n lines, over the $b-line budget"; exit 1; }; done

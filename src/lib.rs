@@ -19,7 +19,7 @@
 //! | [`core`] | `mprec-core` | MP-Rec: offline planner, online scheduler, MP-Cache |
 //! | [`serving`] | `mprec-serving` | the query-serving simulator and policies |
 //! | [`runtime`] | `mprec-runtime` | the real multi-threaded serving runtime (worker pool, sharded MP-Cache, SLA-aware batching) |
-//! | [`trace`] | `mprec-trace` | virtual-time flight recorder, metrics registry, Chrome-trace export, routing explain |
+//! | [`trace`] | `mprec-trace` | virtual-time flight recorder, Chrome-trace export, routing explain |
 //! | [`scaling`] | `mprec-scaling` | the §6.9 multi-node scaling analysis |
 //!
 //! # Quickstart
