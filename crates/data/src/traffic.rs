@@ -331,6 +331,13 @@ impl TrafficConfig {
                     spec.name, spec.session_repeat
                 ));
             }
+            // `Zipf::new` panics on these; `id_zipf` reaches it downstream.
+            if [spec.user_zipf, spec.id_zipf].iter().any(|s| !(s.is_finite() && *s >= 0.0)) {
+                return Err(format!(
+                    "tenant {t} ({}): zipf exponents must be finite and >= 0",
+                    spec.name
+                ));
+            }
         }
         Ok(())
     }

@@ -7,10 +7,10 @@ use rand::Rng;
 ///
 /// Recommendation traces follow such power laws (paper §4.3, Fig. 16a:
 /// "hot row IDs have 10K+ access counts while others are barely accessed").
-/// Sampling uses binary search over a precomputed CDF (`O(log n)` per draw),
-/// which is exact and fast for the scaled-down cardinalities used in
-/// training; paper-scale *trace statistics* only need the analytic mass
-/// functions exposed here.
+/// Sampling inverts a precomputed CDF through a guide table (see
+/// [`Zipf::sample`]), which is exact and fast for the scaled-down
+/// cardinalities used in training; paper-scale *trace statistics* only
+/// need the analytic mass functions exposed here.
 ///
 /// # Examples
 ///
@@ -28,22 +28,29 @@ pub struct Zipf {
     n: u64,
     exponent: f64,
     cdf: Vec<f64>,
-    /// Cumulative mass of the first [`HEAD`] ranks: draws below it search
-    /// only the cache-resident head of the CDF.
-    head_mass: f64,
+    /// `guide[k]`: the first rank whose CDF entry `x` has `x * m >= k`.
+    guide: Vec<u32>,
+    /// The bucket count `m`.
+    buckets: f64,
 }
 
-/// Hot-head size for the two-level sample search (see [`Zipf::sample`]).
-const HEAD: usize = 256;
+/// Guide entries one sampler may hold: the index adds at most 1 MiB.
+const MAX_GUIDE: usize = (1 << 20) / std::mem::size_of::<u32>();
 
 impl Zipf {
     /// Creates a sampler over `0..n` with the given exponent.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, if `n` ranks do not fit in `u32`, or if the
+    /// exponent is negative or not finite (the CDF would overflow to NaN).
     pub fn new(n: u64, exponent: f64) -> Self {
         assert!(n > 0, "zipf support must be non-empty");
+        assert!(
+            exponent.is_finite() && exponent >= 0.0,
+            "zipf exponent must be finite and >= 0, got {exponent}"
+        );
+        let last = u32::try_from(n - 1).expect("zipf ranks must fit in u32");
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0f64;
         for r in 0..n {
@@ -51,15 +58,27 @@ impl Zipf {
             cdf.push(acc);
         }
         let total = acc;
-        for v in cdf.iter_mut() {
+        // ~2 ranks per bucket. `u` just below 1 can round into bucket `m`
+        // itself, whose upper end is the sentinel `guide[m + 1]`.
+        let m = (cdf.len() / 2).clamp(1, MAX_GUIDE - 2);
+        let buckets = m as f64;
+        let mut guide = Vec::with_capacity(m + 2);
+        // One pass normalises and indexes: rank `i` opens every bucket its
+        // CDF entry reaches that no lower rank reached.
+        for (i, v) in cdf.iter_mut().enumerate() {
             *v /= total;
+            while guide.len() as f64 <= *v * buckets {
+                guide.push(i as u32);
+            }
         }
-        let head_mass = cdf[HEAD.min(cdf.len()) - 1];
+        // The last entry is exactly 1.0, in bucket `m`: only the sentinel is left.
+        guide.resize(m + 2, last);
         Zipf {
             n,
             exponent,
             cdf,
-            head_mass,
+            guide,
+            buckets,
         }
     }
 
@@ -73,25 +92,21 @@ impl Zipf {
         self.exponent
     }
 
-    /// Draws one rank.
+    /// Draws one rank: the first `r` whose cumulative mass reaches a
+    /// uniform `u` in `[0, 1)`, so the same `u` always gives the same rank.
     ///
-    /// Two-level search: under a power law most draws land in the first
-    /// `HEAD` ranks, whose CDF prefix (2 KB) stays cache-resident, so
-    /// the common case never touches the cold middle of the full CDF the
-    /// way a plain binary search's first probes do. Both levels are
-    /// binary searches over the same array, so the rank drawn for a
-    /// given uniform value is identical to the single-level search.
+    /// A guide table (cutpoint method) finds it: `u` falls in bucket
+    /// `k = (u * m) as usize`, monotone in `u`. Ranks below `guide[k]`
+    /// have CDF below `u`, the CDF at `guide[k + 1]` is above it, so the
+    /// answer lies in `[guide[k], guide[k + 1]]`. At ~2 ranks per bucket a
+    /// head rank owns whole buckets, both ends agree and the CDF is never
+    /// read; otherwise a binary search covers that short window, not the
+    /// cold middle of the whole CDF.
     pub fn sample(&self, rng: &mut impl Rng) -> u64 {
         let u: f64 = rng.gen();
-        let cdf = if u <= self.head_mass && self.cdf.len() > HEAD {
-            &self.cdf[..HEAD]
-        } else {
-            &self.cdf[..]
-        };
-        match cdf.binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite")) {
-            Ok(i) => i as u64,
-            Err(i) => (i as u64).min(self.n - 1),
-        }
+        let k = (u * self.buckets) as usize;
+        let (lo, hi) = (self.guide[k] as usize, self.guide[k + 1] as usize);
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)) as u64
     }
 
     /// Probability mass of rank `r`.
@@ -155,27 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn two_level_search_matches_full_binary_search() {
-        // The head fast path must draw exactly the rank the single-level
-        // search would for the same uniform value.
-        let z = Zipf::new(10_000, 1.05);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut reference = StdRng::seed_from_u64(77);
-        for _ in 0..5_000 {
-            let got = z.sample(&mut rng);
-            let u: f64 = reference.gen();
-            let want = match z
-                .cdf
-                .binary_search_by(|probe| probe.partial_cmp(&u).unwrap())
-            {
-                Ok(i) => i as u64,
-                Err(i) => (i as u64).min(z.n - 1),
-            };
-            assert_eq!(got, want, "u = {u}");
-        }
-    }
-
-    #[test]
     fn top_k_mass_is_monotone_and_caps_at_one() {
         let z = Zipf::new(1000, 1.05);
         assert_eq!(z.top_k_mass(0), 0.0);
@@ -195,6 +189,12 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn zero_support_panics() {
         let _ = Zipf::new(0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and >= 0")]
+    fn nan_exponent_panics() {
+        let _ = Zipf::new(10, f64::NAN);
     }
 
     proptest! {

@@ -315,6 +315,14 @@ fn validate_rejects_budget_overflows_and_degenerate_specs() {
     bad_session.session_repeat = 1.0;
     assert!(TrafficConfig::new(vec![bad_session]).validate().is_err());
 
+    // `Zipf::new` panics on these (a NaN CDF used to panic the draw).
+    let mut nan_users = ok.clone();
+    nan_users.user_zipf = f64::NAN;
+    assert!(TrafficConfig::new(vec![nan_users]).validate().is_err());
+    let mut negative_ids = ok.clone();
+    negative_ids.id_zipf = -1.0;
+    assert!(TrafficConfig::new(vec![negative_ids]).validate().is_err());
+
     let crowd: Vec<TenantSpec> = (0..17).map(|i| {
         TenantSpec::ranking(format!("t{i}"), 10, 100.0)
     }).collect();

@@ -1961,6 +1961,11 @@ mod tests {
         // A NaN batch deadline used to panic the dispatching thread in
         // `serve`; a NaN SLA violated nothing, a zero rate everything.
         let base = || quick_cfg(2);
+        let zipf_model = |zipf_exponent, tenant_zipf| RuntimeModelConfig {
+            zipf_exponent,
+            tenant_zipf,
+            ..base().model
+        };
         for (what, cfg) in [
             ("NaN batch wait", ClusterConfig { max_batch_wait_us: f64::NAN, ..base() }),
             ("negative batch wait", ClusterConfig { max_batch_wait_us: -1.0, ..base() }),
@@ -1974,6 +1979,11 @@ mod tests {
             ("NaN disk penalty", ClusterConfig { disk_hit_us: f64::NAN, ..base() }),
             ("NaN capacity", ClusterConfig { node_capacity_gflops: vec![0.5, f64::NAN], ..base() }),
             ("zero capacity", ClusterConfig { node_capacity_gflops: vec![0.0], ..base() }),
+            // A NaN CDF panicked the profiling draw in `RuntimeModel::build`.
+            ("NaN zipf", ClusterConfig { model: zipf_model(f64::NAN, vec![]), ..base() }),
+            ("negative zipf", ClusterConfig { model: zipf_model(-1.0, vec![]), ..base() }),
+            ("infinite zipf", ClusterConfig { model: zipf_model(f64::INFINITY, vec![]), ..base() }),
+            ("NaN tenant zipf", ClusterConfig { model: zipf_model(1.05, vec![f64::NAN]), ..base() }),
         ] {
             assert!(matches!(Cluster::new(cfg), Err(RuntimeError::BadConfig(_))), "{what}");
         }

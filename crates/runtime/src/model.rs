@@ -173,12 +173,19 @@ impl RuntimeModel {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::BadConfig`] on degenerate shapes and
-    /// propagates embedding/NN construction errors.
+    /// Returns [`RuntimeError::BadConfig`] on degenerate shapes or a
+    /// negative or non-finite Zipf exponent, and propagates
+    /// embedding/NN construction errors.
     pub fn build(cfg: &RuntimeModelConfig, cache_shards: usize, seed: u64) -> Result<Self> {
         if cfg.sparse_features == 0 || cfg.rows_per_feature == 0 || cfg.emb_dim == 0 {
             return Err(RuntimeError::BadConfig(format!(
                 "model needs features/rows/dim > 0, got {cfg:?}"
+            )));
+        }
+        let exponents = std::iter::once(&cfg.zipf_exponent).chain(&cfg.tenant_zipf);
+        if let Some(bad) = exponents.copied().find(|s| !(s.is_finite() && *s >= 0.0)) {
+            return Err(RuntimeError::BadConfig(format!(
+                "zipf exponents must be finite and >= 0, got {bad}"
             )));
         }
         let mut rng = StdRng::seed_from_u64(seed);
@@ -406,7 +413,8 @@ impl RuntimeModel {
                 } else {
                     zipf.sample(&mut rng)
                 };
-                ids.push(if rotation == 0 { id } else { (id + rotation) % rows });
+                let id = id + rotation; // both < rows: subtract, don't divide
+                ids.push(if id >= rows { id - rows } else { id });
             }
         }
     }
