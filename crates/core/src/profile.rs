@@ -58,7 +58,7 @@ impl LatencyProfile {
 
     /// Interpolated latency (microseconds) for a query of `n` samples.
     /// Clamps below the first point; extrapolates linearly in `n` above
-    /// the last.
+    /// the last. A one-point profile is flat.
     pub fn latency_us(&self, n: u64) -> f64 {
         let n = n.max(1);
         if n <= self.sizes[0] {
@@ -66,8 +66,11 @@ impl LatencyProfile {
         }
         let last = *self.sizes.last().expect("non-empty");
         if n >= last {
-            // Linear extrapolation from the final segment's slope.
             let i = self.sizes.len() - 1;
+            if i == 0 {
+                return self.latencies_us[0];
+            }
+            // Linear extrapolation from the final segment's slope.
             let (n0, n1) = (self.sizes[i - 1] as f64, self.sizes[i] as f64);
             let (l0, l1) = (self.latencies_us[i - 1], self.latencies_us[i]);
             let slope = (l1 - l0) / (n1 - n0);
@@ -138,6 +141,15 @@ mod tests {
         // Slope of last segment: 350/90 per sample.
         let expected = 400.0 + 350.0 / 90.0 * 90.0;
         assert!((above - expected).abs() < 1.0, "{above} vs {expected}");
+    }
+
+    #[test]
+    fn one_point_profile_is_flat() {
+        let p = LatencyProfile::from_points(vec![1], vec![10.0]);
+        assert_eq!(p.latency_us(0), 10.0);
+        assert_eq!(p.latency_us(1), 10.0);
+        assert_eq!(p.latency_us(2), 10.0);
+        assert_eq!(p.latency_us(4096), 10.0);
     }
 
     #[test]

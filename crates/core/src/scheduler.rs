@@ -13,24 +13,12 @@ use mprec_data::scenario::degrade_mask;
 use crate::planner::MappingSet;
 use crate::Result;
 
-/// Scheduler tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedulerConfig {
-    /// Safety factor on profiled latencies (1.0 = trust the profile).
-    pub latency_margin: f64,
-    /// If `true` (MP-Rec), prefer accuracy order; if `false`, always take
-    /// the fastest path (table-only switching baseline).
-    pub accuracy_first: bool,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            latency_margin: 1.0,
-            accuracy_first: true,
-        }
-    }
-}
+/// The scheduler has no tuning knobs. This empty type and the second
+/// parameter of [`Scheduler::new`] remain only because the repo
+/// benchmark (`benchmark/src/layers.rs`), which is kept frozen, names
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SchedulerConfig {}
 
 /// The scheduler's verdict for one query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +43,6 @@ pub struct RouteDecision {
 #[derive(Debug)]
 pub struct Scheduler {
     mappings: MappingSet,
-    cfg: SchedulerConfig,
     /// Absolute simulated time (us) when each platform becomes free.
     free_at_us: Vec<f64>,
     now_us: f64,
@@ -63,11 +50,10 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Creates a scheduler over planned mappings.
-    pub fn new(mappings: MappingSet, cfg: SchedulerConfig) -> Self {
+    pub fn new(mappings: MappingSet, _cfg: SchedulerConfig) -> Self {
         let n = mappings.platforms.len();
         Scheduler {
             mappings,
-            cfg,
             free_at_us: vec![0.0; n],
             now_us: 0.0,
         }
@@ -142,8 +128,7 @@ impl Scheduler {
     ) -> Option<RouteDecision> {
         completions.clear();
         for m in self.mappings.mappings.iter() {
-            let exec = m.profile.latency_us(size) * self.cfg.latency_margin;
-            completions.push(self.backlog_us(m.platform_idx) + exec);
+            completions.push(self.backlog_us(m.platform_idx) + m.profile.latency_us(size));
         }
         if !degrade_rank.is_empty() {
             degrade_mask(
@@ -154,16 +139,11 @@ impl Scheduler {
                 completions,
             );
         }
-        let idx = select_mapping(
-            &self.mappings,
-            completions,
-            sla_us,
-            self.cfg.accuracy_first,
-        )?;
+        let idx = select_mapping(&self.mappings, completions, sla_us)?;
         let m = &self.mappings.mappings[idx];
         // Recompute the chosen exec instead of keeping a second buffer;
         // identical arithmetic to the scoring pass above.
-        let exec_us = m.profile.latency_us(size) * self.cfg.latency_margin;
+        let exec_us = m.profile.latency_us(size);
         Some(RouteDecision {
             mapping_idx: idx,
             platform_idx: m.platform_idx,
@@ -206,8 +186,9 @@ impl Scheduler {
 /// completions: the most accurate mapping whose
 /// `expected_completion_us` fits inside `sla_us` (ties broken by lower
 /// completion, then mapping order), falling back to the fastest
-/// expected completion when nothing fits (or when `accuracy_first` is
-/// false — the table-only switching baseline).
+/// expected completion when nothing fits. Over candidates of one
+/// accuracy (a table-only set) both branches pick the lowest-index
+/// fastest completion.
 ///
 /// [`Scheduler::route`] is this rule fed with `platform backlog +
 /// profiled latency`; callers with richer queueing models (the elastic
@@ -226,34 +207,30 @@ pub fn select_mapping(
     mappings: &MappingSet,
     expected_completion_us: &[f64],
     sla_us: f64,
-    accuracy_first: bool,
 ) -> Option<usize> {
     let n = mappings.mappings.len();
     if n == 0 {
         return None;
     }
-    if accuracy_first {
-        // Sort by accuracy (desc), then by expected completion (asc).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let acc_a = mappings.mappings[a].rep.accuracy;
-            let acc_b = mappings.mappings[b].rep.accuracy;
-            acc_b.partial_cmp(&acc_a).expect("finite accuracy").then(
-                expected_completion_us[a]
-                    .partial_cmp(&expected_completion_us[b])
-                    .expect("finite latency"),
-            )
-        });
-        // First (most accurate) path that completes within the SLA.
-        for &idx in &order {
-            if expected_completion_us[idx] <= sla_us {
-                return Some(idx);
-            }
+    // Sort by accuracy (desc), then by expected completion (asc).
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        let acc_a = mappings.mappings[a].rep.accuracy;
+        let acc_b = mappings.mappings[b].rep.accuracy;
+        acc_b.partial_cmp(&acc_a).expect("finite accuracy").then(
+            expected_completion_us[a]
+                .partial_cmp(&expected_completion_us[b])
+                .expect("finite latency"),
+        )
+    });
+    // First (most accurate) path that completes within the SLA.
+    for &idx in &order {
+        if expected_completion_us[idx] <= sla_us {
+            return Some(idx);
         }
     }
-    // Fallback (and the entire policy for accuracy_first = false):
-    // fastest expected completion, i.e. the latency-critical table
-    // path on the least-loaded device.
+    // Fallback: fastest expected completion, i.e. the latency-critical
+    // table path on the least-loaded device.
     (0..n).min_by(|&a, &b| {
         expected_completion_us[a]
             .partial_cmp(&expected_completion_us[b])
@@ -343,24 +320,24 @@ mod tests {
         assert_eq!(s.backlog_us(1), 0.0);
     }
 
+    /// The table-switching shape: the toy set's two table mappings, one
+    /// per platform, at one accuracy.
+    fn table_only_mappings() -> MappingSet {
+        let mut set = toy_mappings();
+        set.mappings.retain(|m| m.rep.role == RepRole::Table);
+        set
+    }
+
     #[test]
     fn table_only_policy_picks_fastest() {
-        let cfg = SchedulerConfig {
-            accuracy_first: false,
-            ..SchedulerConfig::default()
-        };
-        let mut s = Scheduler::new(toy_mappings(), cfg);
+        let mut s = Scheduler::new(table_only_mappings(), SchedulerConfig::default());
         let d = s.route(128, 100_000.0).unwrap();
         assert_eq!(d.exec_us, 500.0, "fastest table path (GPU) expected");
     }
 
     #[test]
     fn fastest_path_balances_load() {
-        let cfg = SchedulerConfig {
-            accuracy_first: false,
-            ..SchedulerConfig::default()
-        };
-        let mut s = Scheduler::new(toy_mappings(), cfg);
+        let mut s = Scheduler::new(table_only_mappings(), SchedulerConfig::default());
         // First queries go to GPU (500us); once backlogged, CPU (1000us)
         // becomes competitive.
         let mut used_cpu = false;

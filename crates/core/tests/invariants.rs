@@ -2,11 +2,11 @@
 //! memory budgets, routing always respects the mapping set, profiles
 //! interpolate monotonically, and the correct-prediction metric composes.
 
-use mprec_core::candidates::{default_accuracy_book, paper_candidates};
+use mprec_core::candidates::{default_accuracy_book, paper_candidates, RepRole};
 use mprec_core::metrics::CorrectPredictionThroughput;
 use mprec_core::planner::plan;
 use mprec_core::profile::LatencyProfile;
-use mprec_core::scheduler::{Scheduler, SchedulerConfig};
+use mprec_core::scheduler::{select_mapping, Scheduler, SchedulerConfig};
 use mprec_data::DatasetSpec;
 use mprec_hwsim::Platform;
 use proptest::prelude::*;
@@ -70,6 +70,29 @@ proptest! {
                 prop_assert!(sched.backlog_us(i) >= 0.0);
             }
         }
+    }
+
+    #[test]
+    fn equal_accuracy_selection_is_the_lowest_index_fastest(
+        ticks in prop::collection::vec(1u32..4, 1..10),
+        sla_us in 0.0f64..3_000.0,
+    ) {
+        // The table-switching shape: every candidate at one accuracy.
+        // Integer ticks make completion ties common, and the SLA range
+        // covers both the within-SLA pick and the fastest fallback.
+        let spec = DatasetSpec::kaggle_sim(100);
+        let cands = paper_candidates(&spec, &default_accuracy_book(&spec));
+        let platforms = vec![
+            Platform::cpu().with_dram_cap(32_000_000_000),
+            Platform::gpu(),
+        ];
+        let mut set = plan(&cands, &platforms).unwrap();
+        let table = set.mappings.iter().find(|m| m.rep.role == RepRole::Table).unwrap().clone();
+        set.mappings = vec![table; ticks.len()];
+        let completions: Vec<f64> = ticks.iter().map(|&t| f64::from(t) * 1_000.0).collect();
+        let fastest = completions.iter().copied().fold(f64::INFINITY, f64::min);
+        let want = completions.iter().position(|&c| c == fastest);
+        prop_assert_eq!(select_mapping(&set, &completions, sla_us), want);
     }
 
     #[test]

@@ -604,7 +604,7 @@ impl<'a> Core<'a> {
             class.table_only_backlog_us,
             &mut self.completions,
         );
-        let idx = select_mapping(&ep.mappings, &self.completions, sla_remaining_us, true)
+        let idx = select_mapping(&ep.mappings, &self.completions, sla_remaining_us)
             .expect("mapping set is never empty");
         Flight {
             batch: self.tally.decisions.len() as u64,

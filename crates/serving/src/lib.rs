@@ -7,9 +7,11 @@
 //! (Fig. 10/11), path-activation breakdown (Fig. 15), latency percentiles
 //! and SLA-violation rates (Fig. 17).
 //!
-//! The simulation is discrete-event at query granularity: each platform
-//! executes queries FIFO; execution times come from the profiled latency
-//! curves produced by the offline stage (optionally MP-Cache-adjusted).
+//! The simulation is the serving reference [`replay()`] with batching off:
+//! each query is its own batch, each platform executes FIFO, and
+//! execution times come from the profiled latency curves produced by the
+//! offline stage (optionally MP-Cache-adjusted). Only Fig. 14's even
+//! query split has its own loop.
 //!
 //! The crate is also home to the *runtime's* dispatcher contract:
 //! [`mod@dispatch`] is the sans-IO core `mprec-runtime` drives with threads,

@@ -1,10 +1,9 @@
 //! Replays of the *runtime's* serving semantics in virtual time.
 //!
-//! [`crate::simulate`] models the paper's per-query serving experiments;
-//! the multi-threaded runtime (`mprec-runtime`) instead micro-batches
-//! queries under an SLA-aware deadline/size policy and routes whole
-//! batches. Two replays of that contract live here, and they are not
-//! the same kind of thing:
+//! The multi-threaded runtime (`mprec-runtime`) micro-batches queries
+//! under an SLA-aware deadline/size policy and routes whole batches.
+//! Two replays of that contract live here, and they are not the same
+//! kind of thing:
 //!
 //! * [`replay`] / [`replay_traced`] is the **independent reference**: a
 //!   single-node discrete-event implementation over
@@ -12,7 +11,8 @@
 //!   It shares no stateful code with the dispatcher core, so it can
 //!   catch a mistake the core makes — the engine twin tests and the
 //!   property test in `tests/dispatch_props.rs` hold the one-node core
-//!   to it bit for bit.
+//!   to it bit for bit. With a one-sample budget it is also the paper's
+//!   per-query simulator: [`crate::simulate`] runs every figure on it.
 //! * [`replay_cluster`] / [`replay_cluster_traced`] is a **driver** of
 //!   the dispatcher core ([`crate::dispatch`]) over a served cluster's
 //!   recorded spec, with an executor that does no IO. It cannot

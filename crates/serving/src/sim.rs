@@ -1,13 +1,14 @@
-//! The discrete-event serving simulation.
+//! The paper's serving experiments: each policy's working set replayed
+//! through the serving reference ([`replay`]) with batching off.
 
 use mprec_core::candidates::RepRole;
 use mprec_core::planner::{Mapping, MappingSet};
 use mprec_core::profile::{LatencyProfile, PROFILE_SIZES};
-use mprec_core::scheduler::{Scheduler, SchedulerConfig};
 use mprec_data::query::{QueryGenerator, QueryTraceConfig};
 use mprec_hwsim::{Op, Platform};
 
 use crate::outcome::{PathUsage, ServingOutcome};
+use crate::replay::{replay, ReplayConfig};
 use crate::Policy;
 
 /// MP-Cache effect applied to compute-path profiles during serving.
@@ -154,15 +155,15 @@ fn price(platform: &Platform, op: Op, sram: bool) -> f64 {
     mprec_hwsim::op_cost(&op, &platform.spec, sram, sram, None).total_us()
 }
 
-/// Filters/adjusts the mapping set for a policy and returns the working
-/// set plus the scheduler config.
-fn working_set(
-    mappings: &MappingSet,
-    policy: Policy,
-    cfg: &ServingConfig,
-) -> (MappingSet, SchedulerConfig) {
+/// Filters/adjusts the mapping set for a policy.
+///
+/// Every set routes under Algorithm 2. For the static and
+/// table-switching sets that is "fastest completion first" because
+/// `plan` places at most one mapping per (role, platform): a static set
+/// has at most one mapping, and every table mapping shares one accuracy,
+/// over which Algorithm 2 picks the lowest-index fastest completion.
+fn working_set(mappings: &MappingSet, policy: Policy, cfg: &ServingConfig) -> MappingSet {
     let mut out: Vec<Mapping> = Vec::new();
-    let mut sched_cfg = SchedulerConfig::default();
     match policy {
         Policy::Static { role, platform_idx } => {
             out.extend(
@@ -172,7 +173,6 @@ fn working_set(
                     .filter(|m| m.rep.role == role && m.platform_idx == platform_idx)
                     .cloned(),
             );
-            sched_cfg.accuracy_first = false;
         }
         Policy::TableSwitching | Policy::QuerySplit { .. } => {
             out.extend(
@@ -182,7 +182,6 @@ fn working_set(
                     .filter(|m| m.rep.role == RepRole::Table)
                     .cloned(),
             );
-            sched_cfg.accuracy_first = false;
         }
         Policy::MpRec | Policy::MpRecNoFallback => {
             for m in &mappings.mappings {
@@ -201,13 +200,10 @@ fn working_set(
             }
         }
     }
-    (
-        MappingSet {
-            platforms: mappings.platforms.clone(),
-            mappings: out,
-        },
-        sched_cfg,
-    )
+    MappingSet {
+        platforms: mappings.platforms.clone(),
+        mappings: out,
+    }
 }
 
 /// Runs the serving simulation for one policy over the configured
@@ -226,62 +222,35 @@ pub fn simulate(mappings: &MappingSet, policy: Policy, cfg: &ServingConfig) -> S
 /// ([`mprec_data::scenario`]) drive: any arrival pattern (diurnal,
 /// flash-crowd, hot-key drift) runs through the same discrete-event
 /// policy machinery.
+///
+/// Every policy but [`Policy::QuerySplit`] is the serving reference
+/// [`replay`] with batching off: a one-sample budget flushes each query
+/// alone at its arrival, and with no SLA classes Algorithm 2 routes it
+/// under the full `cfg.sla_us` (floored at 1 µs, as every replay
+/// budget is).
 pub fn simulate_trace(
     mappings: &MappingSet,
     policy: Policy,
     cfg: &ServingConfig,
     trace: &[mprec_data::query::Query],
 ) -> ServingOutcome {
-    let (set, sched_cfg) = working_set(mappings, policy, cfg);
-    let labels: Vec<String> = set
-        .mappings
-        .iter()
-        .map(|m| m.label(&set.platforms))
-        .collect();
-
-    let mut usage = PathUsage::default();
-    let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
-    let mut samples = 0u64;
-    let mut correct = 0.0f64;
-    let mut violations = 0u64;
-    let mut last_completion = 0.0f64;
-
+    let set = working_set(mappings, policy, cfg);
+    // `replay` expects a non-empty set.
     if set.mappings.is_empty() {
         return ServingOutcome::empty(policy.to_string());
     }
-
     if let Policy::QuerySplit { cpu_fraction } = policy {
         return simulate_split(&set, trace, cfg, cpu_fraction);
     }
-
-    let mut sched = Scheduler::new(set, sched_cfg);
-    for q in trace {
-        let arrival = q.arrival_us as f64;
-        sched.advance_to(arrival);
-        let Some(decision) = sched.route(q.size as u64, cfg.sla_us) else {
-            continue;
-        };
-        let done = sched.commit(&decision);
-        let latency = done - arrival;
-        latencies.push(latency);
-        samples += q.size as u64;
-        correct += q.size as f64 * decision.accuracy as f64;
-        if latency > cfg.sla_us {
-            violations += 1;
-        }
-        usage.record(&labels[decision.mapping_idx], q.size as u64);
-        last_completion = last_completion.max(done);
-    }
-
-    finalize(
-        policy.to_string(),
-        latencies,
-        samples,
-        correct,
-        violations,
-        last_completion,
-        usage,
-    )
+    let unbatched = ReplayConfig {
+        sla_us: cfg.sla_us,
+        max_batch_samples: 1,
+        max_batch_wait_us: 0.0,
+        classes: Vec::new(),
+    };
+    let mut outcome = replay(&set, trace, &unbatched).outcome;
+    outcome.policy = policy.to_string();
+    outcome
 }
 
 /// Even query splitting across the first two platforms (Fig. 14).
@@ -340,33 +309,13 @@ fn simulate_split(
         last_completion = last_completion.max(done);
     }
 
-    finalize(
+    ServingOutcome::from_latency_samples(
         format!("query-split:{cpu_fraction:.2}"),
         latencies,
         samples,
         correct,
         violations,
-        last_completion,
-        usage,
-    )
-}
-
-fn finalize(
-    policy: String,
-    latencies: Vec<f64>,
-    samples: u64,
-    correct_samples: f64,
-    sla_violations: u64,
-    last_completion_us: f64,
-    usage: PathUsage,
-) -> ServingOutcome {
-    ServingOutcome::from_latency_samples(
-        policy,
-        latencies,
-        samples,
-        correct_samples,
-        sla_violations,
-        last_completion_us / 1e6,
+        last_completion / 1e6,
         usage,
     )
 }
