@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use mprec_core::mpcache::{DecoderCache, EncoderCache, ShardedCacheConfig, ShardedMpCache};
+use mprec_core::mpcache::{
+    BatchScratch, DecoderCache, EncoderCache, ShardedCacheConfig, ShardedMpCache,
+};
 use mprec_core::scheduler::{Scheduler, SchedulerConfig};
 use mprec_data::DatasetSpec;
 use mprec_embed::{DheConfig, DheStack, EmbeddingTable};
@@ -103,6 +105,13 @@ fn bench_mpcache(c: &mut Criterion) {
     });
     c.bench_function("mpcache_miss_knn", |bench| {
         bench.iter(|| cache.embed(&stack, 0, 999_999).unwrap())
+    });
+    // The batch path over 256 cold ids: one shard walk, one encode and
+    // one centroid-search GEMM, through warm scratch.
+    let cold: Vec<u64> = (1_000_000..1_000_256).collect();
+    let (mut scratch, mut out) = (BatchScratch::new(), Matrix::zeros(0, 0));
+    c.bench_function("mpcache_batch_miss", |bench| {
+        bench.iter(|| cache.embed_batch_into(&stack, 0, &cold, &mut scratch, &mut out).unwrap())
     });
 }
 

@@ -24,6 +24,13 @@
 //! `parking_lot::RwLock` and an atomic hit/miss/eviction stats block.
 //! One shard with no dynamic budget is the paper's plain static cache.
 //!
+//! Scalar [`ShardedMpCache::embed`] is the reference. The serving path,
+//! [`ShardedMpCache::embed_batch_into`], works per batch, not per id: one
+//! lock and one counter flush per shard, one encode of the unique misses,
+//! and one `codes · centroidsᵀ` GEMM plus a row argmax for the decoder
+//! tier ([`DecoderCache::nearest_batch_into`], which picks exactly what
+//! [`DecoderCache::nearest`] picks).
+//!
 //! Each shard also carries a **persistent disk tier**
 //! ([`crate::persist::Segment`]): an append-only record log with an
 //! in-memory `(feature, id) → offset` index, consulted only after both RAM
@@ -42,7 +49,7 @@ use mprec_data::SplitMixBuildHasher;
 use mprec_embed::DheStack;
 use mprec_nn::MlpScratch;
 use mprec_tensor::{ops, Matrix};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::persist::Segment;
 use crate::{CoreError, Result};
@@ -197,8 +204,25 @@ impl EncoderCache {
 pub struct DecoderCache {
     /// Unit-normalized centroids, `N x k`.
     centroids: Matrix,
+    /// The same centroids transposed, `k x N`: the right-hand side of
+    /// the batched search's GEMM.
+    centroids_t: Matrix,
     /// Pre-computed decoder outputs, `N x out_dim`.
     outputs: Matrix,
+}
+
+/// [`DecoderCache::nearest`]'s pick over one code's dot products: start
+/// at −∞ with a strict `>`, so the lowest index wins a tie and a NaN
+/// never wins. (`ops::argmax` seeds with element 0 instead, which differs
+/// when that element is NaN.)
+fn pick(dots: impl Iterator<Item = f32>) -> usize {
+    let mut best = (0, f32::NEG_INFINITY);
+    for (c, d) in dots.enumerate() {
+        if d > best.1 {
+            best = (c, d);
+        }
+    }
+    best.0
 }
 
 impl DecoderCache {
@@ -273,6 +297,7 @@ impl DecoderCache {
             ops::normalize(normalized.row_mut(c));
         }
         Ok(DecoderCache {
+            centroids_t: normalized.transposed(),
             centroids: normalized,
             outputs,
         })
@@ -291,16 +316,36 @@ impl DecoderCache {
     /// the hot path allocation-free. (A zero-norm code yields all-zero
     /// dots either way.)
     pub fn nearest(&self, code: &[f32]) -> usize {
-        let mut best = 0;
-        let mut best_dot = f32::NEG_INFINITY;
-        for c in 0..self.centroids.rows() {
-            let d = ops::dot(code, self.centroids.row(c));
-            if d > best_dot {
-                best_dot = d;
-                best = c;
-            }
+        pick((0..self.centroids.rows()).map(|c| ops::dot(code, self.centroids.row(c))))
+    }
+
+    /// [`Self::nearest`] for every row of `codes` (`m x k`) at once: one
+    /// `codes · centroidsᵀ` GEMM into `dots` (`m x N`), then the same
+    /// pick per row into `picks`. Picks equal the scalar scan's: both
+    /// `gemm_nn` paths (tiled, and the naive one below 16 centroids)
+    /// accumulate each output in `k` order from zero, as `ops::dot`'s
+    /// sequential sum does, and Rust never contracts `a * b + c` into an
+    /// FMA. So every dot product is the scalar one's, up to the sign of a
+    /// zero (the naive path also skips zero code entries), which `>`
+    /// does not see. `tests/decoder_search.rs` holds the two together.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadConfig`] when `codes` is not `k` wide.
+    pub fn nearest_batch_into(
+        &self,
+        codes: &Matrix,
+        dots: &mut Matrix,
+        picks: &mut Vec<usize>,
+    ) -> Result<()> {
+        codes
+            .matmul_into(&self.centroids_t, dots)
+            .map_err(|e| CoreError::BadConfig(format!("decoder search: {e}")))?;
+        picks.clear();
+        for row in dots.as_slice().chunks_exact(dots.cols()) {
+            picks.push(pick(row.iter().copied()));
         }
-        best
+        Ok(())
     }
 
     /// Approximate embedding for a code: the pre-computed decoder output
@@ -357,6 +402,22 @@ impl AtomicCacheStats {
             dynamic_hits: self.dynamic_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Flushes a batch's local tally: one add per non-zero counter.
+    fn add(&self, t: &CacheStats) {
+        for (counter, n) in [
+            (&self.encoder_hits, t.encoder_hits),
+            (&self.encoder_misses, t.encoder_misses),
+            (&self.decoder_lookups, t.decoder_lookups),
+            (&self.dynamic_hits, t.dynamic_hits),
+            (&self.disk_hits, t.disk_hits),
+            (&self.evictions, t.evictions),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
@@ -542,6 +603,24 @@ struct CacheShard {
     stats: AtomicCacheStats,
 }
 
+/// The dynamic-tier guard one shard walk of a batch holds from its first
+/// row to its last: the write guard when disk hits may promote into the
+/// tier, the read guard otherwise. (A disabled tier is empty and never
+/// admits.)
+enum DynamicGuard<'a> {
+    Read(RwLockReadGuard<'a, DynamicTier>),
+    Write(RwLockWriteGuard<'a, DynamicTier>),
+}
+
+impl DynamicGuard<'_> {
+    fn get(&self, feature: usize, id: u64) -> Option<&[f32]> {
+        match self {
+            DynamicGuard::Read(tier) => tier.get(feature, id),
+            DynamicGuard::Write(tier) => tier.get(feature, id),
+        }
+    }
+}
+
 /// A cached row is only as good as the stack it was computed for: a
 /// segment written under another `emb_dim` must fail the lookup, not
 /// panic a worker or hand back a short row.
@@ -577,18 +656,28 @@ impl DecoderTier {
 }
 
 /// Reusable buffers for [`ShardedMpCache::embed_batch_into`], owned by
-/// one worker and recycled across batches: the miss index, the batched
-/// encoder codes, the decoder ping-pong matrices, and the decoder-tier
-/// output arena. After warm-up, a batch whose misses fit the
-/// high-water marks performs no heap allocation outside dynamic-tier
-/// admission (which itself recycles evicted entries once the tier is
-/// full).
+/// one worker and recycled across batches: the rows bucketed by shard
+/// (a counting sort), the miss index, the batched encoder codes, the
+/// decoder-tier search's dot products and picks, the decoder ping-pong
+/// matrices, and the computed-row arena. After warm-up, a batch whose
+/// misses fit the high-water marks performs no heap allocation outside
+/// dynamic-tier admission (which itself recycles evicted entries once
+/// the tier is full).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
+    /// Shard of each row, and where each shard's bucket starts in
+    /// `rows_by_shard` (the row count last).
+    shard_of: Vec<u32>,
+    bucket_start: Vec<usize>,
+    rows_by_shard: Vec<u32>,
+    /// `(shard, end of its misses in miss_ids)` per walked shard.
+    shard_misses: Vec<(usize, usize)>,
     miss_slot_of: HashMap<u64, u32, SplitMixBuildHasher>,
     miss_ids: Vec<u64>,
     cold_rows: Vec<(u32, u32)>,
     codes: Matrix,
+    dots: Matrix,
+    picks: Vec<usize>,
     computed: Matrix,
     mlp: MlpScratch,
     disk_row: Vec<f32>,
@@ -598,6 +687,32 @@ impl BatchScratch {
     /// Creates an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Buckets a batch's rows by shard (a row's shard is its hash masked
+    /// by `mask`) with a stable counting sort: count each bucket at its
+    /// own index, turn the counts into bucket ends, then place rows back
+    /// to front, moving each end down to its bucket's start. Shard `s`'s
+    /// rows, in row order, are then
+    /// `rows_by_shard[bucket_start[s]..bucket_start[s + 1]]`.
+    fn bucket_by_shard(&mut self, mask: u64, hashes: impl Iterator<Item = u64>) {
+        self.shard_of.clear();
+        self.shard_of.extend(hashes.map(|h| (h & mask) as u32));
+        self.bucket_start.clear();
+        self.bucket_start.resize(mask as usize + 2, 0);
+        for &s in &self.shard_of {
+            self.bucket_start[s as usize] += 1;
+        }
+        let mut end = 0;
+        for n in &mut self.bucket_start {
+            end += *n;
+            *n = end;
+        }
+        self.rows_by_shard.resize(self.shard_of.len(), 0);
+        for (row, &s) in self.shard_of.iter().enumerate().rev() {
+            self.bucket_start[s as usize] -= 1;
+            self.rows_by_shard[self.bucket_start[s as usize]] = row as u32;
+        }
     }
 }
 
@@ -941,10 +1056,26 @@ impl ShardedMpCache {
     /// [`ShardedMpCache::embed_batch`] into caller-provided buffers: the
     /// output arena is resized (reusing its allocation) and every
     /// intermediate lives in `scratch`, so a warm worker serves batches
-    /// with zero steady-state heap allocations — hits are row copies out
-    /// of the cache tiers, and all misses share one batched encode plus
-    /// either one decoder-tier scan each or a single batched decoder
-    /// GEMM through the scratch ping-pong buffers.
+    /// with zero steady-state heap allocations. The work is per batch:
+    ///
+    /// 1. Bucket the rows by shard: one shard hash per id, then a stable
+    ///    counting sort.
+    /// 2. Walk each shard's rows in row order through the static tier, the
+    ///    dynamic tier (one guard for the whole walk) and, only when it is
+    ///    non-empty, the disk tier. A disk hit is promoted inline, before
+    ///    the shard's later rows, so such a walk holds the dynamic *write*
+    ///    guard. Counts go to a local tally, flushed with one atomic add
+    ///    per non-zero counter.
+    /// 3. Compute the unique misses once: one batched encode, then the
+    ///    decoder tier's one-GEMM search or one batched decoder pass.
+    /// 4. Admit each shard's misses, in first-occurrence order, under one
+    ///    write lock.
+    ///
+    /// Within a shard, probes and admits keep the order of visiting the
+    /// rows one by one, and tiers, FIFO queues and counters are all per
+    /// shard; encode and GEMM rows are independent of their neighbours.
+    /// So outputs, every shard's [`CacheStats`] and each dynamic tier's
+    /// FIFO order are those of a row-order walk.
     ///
     /// # Errors
     ///
@@ -959,84 +1090,114 @@ impl ShardedMpCache {
     ) -> Result<()> {
         let dim = stack.out_dim();
         out.resize_zeroed(ids.len(), dim);
-        // Unique cold IDs to compute, and for every output row of a cold
-        // ID the slot its embedding comes from.
+        scratch.bucket_by_shard(self.mask, ids.iter().map(|&id| shard_hash(feature, id)));
+        // Unique cold ids to compute (grouped by shard), and for every
+        // output row of a cold id the slot its embedding comes from.
+        scratch.shard_misses.clear();
         scratch.miss_slot_of.clear();
         scratch.miss_ids.clear();
         scratch.cold_rows.clear();
-        for (row, &id) in ids.iter().enumerate() {
-            let shard = self.shard(feature, id);
-            let key = (feature, id);
-            if let Some(hit) = shard.static_entries.get(&key) {
-                shard.stats.encoder_hits.fetch_add(1, Ordering::Relaxed);
-                out.row_mut(row).copy_from_slice(checked(hit, dim)?);
+        let decoder = self.decoder.for_feature(feature);
+        for (s, shard) in self.shards.iter().enumerate() {
+            let rows = &scratch.rows_by_shard[scratch.bucket_start[s]..scratch.bucket_start[s + 1]];
+            if rows.is_empty() {
                 continue;
             }
-            if self.dynamic_per_shard > 0 {
-                if let Some(hit) = shard.dynamic.read().get(feature, id) {
-                    shard.stats.dynamic_hits.fetch_add(1, Ordering::Relaxed);
-                    out.row_mut(row).copy_from_slice(checked(hit, dim)?);
-                    continue;
-                }
-            }
-            // Disk tier: segments are immutable during a batch (admits go
-            // to the dynamic tier), so a disk-resident ID can never also
-            // be a pending cold ID — check before the repeat map. With
-            // the dynamic tier enabled the promoted entry turns repeats
-            // into dynamic hits, exactly like the scalar path.
-            if shard.disk.read().get_into(feature, id, &mut scratch.disk_row) {
-                shard.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                out.row_mut(row).copy_from_slice(checked(&scratch.disk_row, dim)?);
-                self.admit(shard, key, &scratch.disk_row);
-                continue;
-            }
-            if let Some(&slot) = scratch.miss_slot_of.get(&id) {
-                // Repeat of a cold ID already pending in this batch: the
-                // scalar path would have admitted it by now, so count a
-                // dynamic hit when the tier exists; with the tier
-                // disabled the scalar path recomputes (another miss, and
-                // another decoder-tier lookup when that tier serves it).
-                if self.dynamic_per_shard > 0 {
-                    shard.stats.dynamic_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shard.stats.encoder_misses.fetch_add(1, Ordering::Relaxed);
-                    if self.decoder.for_feature(feature).is_some() {
-                        shard.stats.decoder_lookups.fetch_add(1, Ordering::Relaxed);
+            let mut tally = CacheStats::default();
+            // A closure so that the tally is flushed even when a row fails.
+            let walked = (|| -> Result<()> {
+                // Lock order: disk, then dynamic; nothing takes them the
+                // other way round.
+                let disk_guard = shard.disk.read();
+                let disk = (!disk_guard.is_empty()).then_some(&*disk_guard);
+                let mut dynamic = match disk {
+                    Some(_) => DynamicGuard::Write(shard.dynamic.write()),
+                    None => DynamicGuard::Read(shard.dynamic.read()),
+                };
+                let disk_row = &mut scratch.disk_row;
+                for &row in rows {
+                    let (row, id) = (row as usize, ids[row as usize]);
+                    if let Some(hit) = shard.static_entries.get(&(feature, id)) {
+                        tally.encoder_hits += 1;
+                        out.row_mut(row).copy_from_slice(checked(hit, dim)?);
+                    } else if let Some(hit) = dynamic.get(feature, id) {
+                        tally.dynamic_hits += 1;
+                        out.row_mut(row).copy_from_slice(checked(hit, dim)?);
+                    } else if disk.is_some_and(|d| d.get_into(feature, id, disk_row)) {
+                        // Segments are immutable during a batch, so a disk
+                        // id is never also a pending cold id. Promotion
+                        // turns its repeats into dynamic hits, as in `embed`.
+                        tally.disk_hits += 1;
+                        out.row_mut(row).copy_from_slice(checked(disk_row, dim)?);
+                        if let DynamicGuard::Write(tier) = &mut dynamic {
+                            tally.evictions += u64::from(tier.admit(feature, id, disk_row));
+                        }
+                    } else {
+                        // A miss. On a repeat of a pending cold id `embed`
+                        // would have admitted it by now (a dynamic hit), or
+                        // with the tier disabled recomputes it (a miss).
+                        let pending = scratch.miss_slot_of.get(&id).copied();
+                        if pending.is_some() && self.dynamic_per_shard > 0 {
+                            tally.dynamic_hits += 1;
+                        } else {
+                            tally.encoder_misses += 1;
+                            tally.decoder_lookups += u64::from(decoder.is_some());
+                        }
+                        let slot = pending.unwrap_or_else(|| {
+                            let slot = scratch.miss_ids.len() as u32;
+                            scratch.miss_slot_of.insert(id, slot);
+                            scratch.miss_ids.push(id);
+                            slot
+                        });
+                        scratch.cold_rows.push((row as u32, slot));
                     }
                 }
-                scratch.cold_rows.push((row as u32, slot));
-                continue;
-            }
-            shard.stats.encoder_misses.fetch_add(1, Ordering::Relaxed);
-            let slot = scratch.miss_ids.len() as u32;
-            scratch.miss_slot_of.insert(id, slot);
-            scratch.miss_ids.push(id);
-            scratch.cold_rows.push((row as u32, slot));
+                Ok(())
+            })();
+            shard.stats.add(&tally);
+            walked?;
+            scratch.shard_misses.push((s, scratch.miss_ids.len()));
         }
         if scratch.miss_ids.is_empty() {
             return Ok(());
         }
-        stack.encoder().encode_batch_into(&scratch.miss_ids, &mut scratch.codes);
-        let computed: &Matrix = if let Some(dec) = self.decoder.for_feature(feature) {
-            scratch.computed.resize_zeroed(scratch.miss_ids.len(), dim);
-            for (i, &id) in scratch.miss_ids.iter().enumerate() {
-                let shard = self.shard(feature, id);
-                shard.stats.decoder_lookups.fetch_add(1, Ordering::Relaxed);
-                scratch
-                    .computed
-                    .row_mut(i)
-                    .copy_from_slice(dec.lookup(scratch.codes.row(i)));
+
+        stack
+            .encoder()
+            .encode_batch_into(&scratch.miss_ids, &mut scratch.codes);
+        let computed: &Matrix = if let Some(dec) = decoder {
+            dec.nearest_batch_into(&scratch.codes, &mut scratch.dots, &mut scratch.picks)?;
+            let rows = &mut scratch.computed;
+            rows.resize_zeroed(scratch.picks.len(), dim);
+            for (i, &c) in scratch.picks.iter().enumerate() {
+                rows.row_mut(i).copy_from_slice(dec.outputs.row(c));
             }
-            &scratch.computed
+            rows
         } else {
             stack.decode_scratch(&scratch.codes, &mut scratch.mlp)?
         };
         for &(row, slot) in &scratch.cold_rows {
             out.row_mut(row as usize).copy_from_slice(computed.row(slot as usize));
         }
-        for (i, &id) in scratch.miss_ids.iter().enumerate() {
-            let shard = self.shard(feature, id);
-            self.admit(shard, (feature, id), computed.row(i));
+        if self.dynamic_per_shard > 0 {
+            let mut first = 0;
+            for &(s, end) in &scratch.shard_misses {
+                if end > first {
+                    let shard = &self.shards[s];
+                    let mut tier = shard.dynamic.write();
+                    let evictions = (first..end)
+                        .filter(|&i| tier.admit(feature, scratch.miss_ids[i], computed.row(i)))
+                        .count();
+                    drop(tier);
+                    if evictions > 0 {
+                        shard
+                            .stats
+                            .evictions
+                            .fetch_add(evictions as u64, Ordering::Relaxed);
+                    }
+                }
+                first = end;
+            }
         }
         Ok(())
     }

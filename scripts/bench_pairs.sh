@@ -20,22 +20,27 @@
 #   worse        otherwise, when the change's median is worse than the
 #                parent's by more than the bound;
 #   not worse    otherwise.
-# The last line says whether the exact (X) metrics repeated bit for bit
-# across every run of both sides.
+# The last line of that table says whether the exact (X) metrics repeated
+# bit for bit across every run of both sides.
+#
+# With --trace-runs N (default 0: none) it then makes N alternating
+# --trace 1 runs per side of each workload, kept in .bench_build/traces.jsonl,
+# and prints per (per-layer metric of BENCHMARK.json, workload) each side's
+# median and change / parent: the layer evidence benchmark/README.md rule
+# 5 asks a gain for.
 #
 # Needs bash, git, jq and cargo; runs offline.
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 <parent-rev> [--pairs N] [--seconds S] [--seed N] [--workload W]..."
+    echo "usage: $0 <parent-rev> [--pairs N] [--seconds S] [--seed N] [--workload W]... [--trace-runs N]"
 }
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 spec=$root/BENCHMARK.json
 
-report() { # runs.jsonl
-    jq -rn --slurpfile spec "$spec" --slurpfile runs "$1" '
+defs='
   def quantile($q): sort as $s | ((($s | length) - 1) * $q) as $h | ($h | floor) as $i
     | if $i + 1 < ($s | length) then $s[$i] + ($h - $i) * ($s[$i + 1] - $s[$i]) else $s[$i] end;
   def median: quantile(0.5);
@@ -43,6 +48,10 @@ report() { # runs.jsonl
   def rel($x; $m): if $m == 0 then (if $x == 0 then 0 else infinite end) else ($x / ($m | fabs)) end;
   def fmt: if fabs >= 1000 then (. * 10 | round / 10) else (. * 10000 | round / 10000) end | tostring;
   def pad($n): if length < $n then . + " " * ($n - length) else . + " " end;
+'
+
+report() { # runs.jsonl
+    jq -rn --slurpfile spec "$spec" --slurpfile runs "$1" "$defs"'
   def row: [(.[0] | pad(22)), (.[1] | pad(15)), (.[2] | pad(26)), (.[3] | pad(26)), (.[4] | pad(7)), .[5]] | add;
   ["completed_frac", "served_accuracy", "v_sla_met_frac", "v_lat_p99_us"] as $exact
   | $runs as $r
@@ -74,10 +83,25 @@ report() { # runs.jsonl
 '
 }
 
-parent="" pairs=10 seconds=10 seed=42 workloads=()
+layers() { # traces.jsonl
+    jq -rn --slurpfile spec "$spec" --slurpfile runs "$1" "$defs"'
+  def row: [(.[0] | pad(44)), (.[1] | pad(15)), (.[2] | pad(14)), (.[3] | pad(14)), .[4]] | add;
+  (["per-layer metric", "workload", "parent median", "change median", "change / parent"] | row),
+  ($spec[0].workloads[].name as $w | $runs | map(select(.workload == $w)) | select(length > 0)
+   | . as $rw | $spec[0].per_layer[] | .name as $m
+   | ($rw | map(select(.side == "parent")) | map(.metrics[$m]) | map(select(. != null))) as $p
+   | ($rw | map(select(.side == "change")) | map(.metrics[$m]) | map(select(. != null))) as $c
+   | select(($p | length) > 0 and ($c | length) > 0)
+   | ($p | median) as $pm | ($c | median) as $cm
+   | [$m, $w, ($pm | fmt), ($cm | fmt), (if $pm == 0 then "-" else ($cm / $pm | fmt) end)] | row)
+'
+}
+
+parent="" pairs=10 seconds=10 seed=42 workloads=() trace_runs=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs=$2; shift 2 ;;
+        --trace-runs) trace_runs=$2; shift 2 ;;
         --seconds) seconds=$2; shift 2 ;;
         --seed) seed=$2; shift 2 ;;
         --workload) workloads+=("$2"); shift 2 ;;
@@ -102,6 +126,7 @@ done
 out=$root/.bench_build
 tree=$out/parent
 runs=$out/pairs.jsonl
+traces=$out/traces.jsonl
 log=$out/pairs.log
 mkdir -p "$out"
 : >"$runs"
@@ -120,29 +145,39 @@ for dir in "$tree" "$root"; do
     (cd "$dir" && "${build[@]}") >>"$log" 2>&1 || { echo "build failed in $dir, see $log" >&2; exit 1; }
 done
 
-run() { # side dir workload pair
+run() { # side dir workload pair trace out.jsonl
     local line
-    line=$(cd "$2" && "${cmd[@]}" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0 2>>"$log" | tail -n 1) || true
+    line=$(cd "$2" && "${cmd[@]}" --workload "$3" --seed "$seed" --seconds "$seconds" --trace "$5" 2>>"$log" | tail -n 1) || true
     if ! jq -e '.metrics' <<<"$line" >/dev/null 2>&1; then
-        echo "$1 $3 pair $4: no JSON result (see $log)" >&2
+        echo "$1 $3 pair $4 (--trace $5): no JSON result (see $log)" >&2
         exit 1
     fi
     jq -c --arg side "$1" --arg w "$3" --argjson pair "$4" \
         '{side: $side, workload: $w, pair: $pair, correct, attempted, failed, metrics: (.metrics | map_values(.value))}' \
-        <<<"$line" >>"$runs"
+        <<<"$line" >>"$6"
 }
 
-for w in "${workloads[@]}"; do
-    for ((i = 0; i < pairs; i++)); do
-        echo "$w pair $((i + 1))/$pairs" >&2
-        if ((i % 2 == 0)); then
-            run parent "$tree" "$w" "$i"
-            run change "$root" "$w" "$i"
-        else
-            run change "$root" "$w" "$i"
-            run parent "$tree" "$w" "$i"
-        fi
+alternate() { # count trace out.jsonl
+    local w i
+    for w in "${workloads[@]}"; do
+        for ((i = 0; i < $1; i++)); do
+            echo "$w pair $((i + 1))/$1 (--trace $2)" >&2
+            if ((i % 2 == 0)); then
+                run parent "$tree" "$w" "$i" "$2" "$3"
+                run change "$root" "$w" "$i" "$2" "$3"
+            else
+                run change "$root" "$w" "$i" "$2" "$3"
+                run parent "$tree" "$w" "$i" "$2" "$3"
+            fi
+        done
     done
-done
+}
 
+alternate "$pairs" 0 "$runs"
 report "$runs"
+if ((trace_runs > 0)); then
+    : >"$traces"
+    alternate "$trace_runs" 1 "$traces"
+    echo
+    layers "$traces"
+fi
