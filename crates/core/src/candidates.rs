@@ -234,21 +234,6 @@ pub fn paper_candidates(spec: &DatasetSpec, acc: &AccuracyBook) -> Vec<Candidate
     vec![hybrid, table, dhe, dhe_compact]
 }
 
-/// The select candidate (characterization experiments only).
-pub fn select_candidate(spec: &DatasetSpec, acc: &AccuracyBook) -> CandidateRep {
-    let dim = spec.baseline_emb_dim;
-    let cfg = paper_dhe_config(RepRole::Select, dim);
-    CandidateRep {
-        name: "select".into(),
-        role: RepRole::Select,
-        config: RepresentationConfig::select(dim, sim_dhe_config(RepRole::Select, dim), 3),
-        workload: workload_builder(spec)
-            .select(dim, cfg.k, cfg.dnn, cfg.h, 3)
-            .expect("select workload"),
-        accuracy: acc.select,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

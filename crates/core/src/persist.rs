@@ -242,11 +242,6 @@ impl Segment {
         self.records
     }
 
-    /// Size of the record buffer in bytes (header excluded).
-    pub fn byte_len(&self) -> usize {
-        self.data.len()
-    }
-
     /// Whether parsing dropped a torn or corrupt trailing record.
     pub fn truncated(&self) -> bool {
         self.truncated

@@ -422,11 +422,6 @@ impl FeatureShardPlan {
         }
     }
 
-    /// Number of live nodes in the plan.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Live node ids, sorted ascending.
     pub fn nodes(&self) -> &[u32] {
         &self.nodes

@@ -271,25 +271,6 @@ impl RepresentationConfig {
         flops
     }
 
-    /// Bytes of embedding-table data touched per sample (gather traffic);
-    /// zero for pure DHE. Feeds the memory side of the hardware model.
-    pub fn table_bytes_per_sample(&self, cardinalities: &[u64]) -> u64 {
-        let dhe_mask = self.dhe_features(cardinalities);
-        let mut bytes = 0u64;
-        for (f, _) in cardinalities.iter().enumerate() {
-            let uses_table = match self.kind {
-                RepresentationKind::Table => true,
-                RepresentationKind::Dhe => false,
-                RepresentationKind::Select => !dhe_mask[f],
-                RepresentationKind::Hybrid => true,
-            };
-            if uses_table {
-                bytes += self.table_dim as u64 * 4;
-            }
-        }
-        bytes
-    }
-
     /// The paper-scale DHE configuration used for capacity reporting:
     /// `k = 2048`, `d_NN = 512`, `h = 2`. At 26 Kaggle features and
     /// out_dim 16 this lands on the paper's ~126 MB DHE footprint.

@@ -7,15 +7,17 @@
 //! (Fig. 10/11), path-activation breakdown (Fig. 15), latency percentiles
 //! and SLA-violation rates (Fig. 17).
 //!
-//! The simulation is the serving reference [`replay()`] with batching off:
-//! each query is its own batch, each platform executes FIFO, and
-//! execution times come from the profiled latency curves produced by the
-//! offline stage (optionally MP-Cache-adjusted). Only Fig. 14's even
-//! query split has its own loop.
+//! The simulation is the runtime's dispatcher core, driven with no IO
+//! ([`replay_cluster()`]) over a cluster whose nodes are the mapping
+//! set's platforms ([`platforms_as_nodes`]), with batching off: each
+//! query is its own batch, each platform executes FIFO, and execution
+//! times come from the profiled latency curves produced by the offline
+//! stage (optionally MP-Cache-adjusted). Only Fig. 14's even query split
+//! has its own loop.
 //!
-//! The crate is also home to the *runtime's* dispatcher contract:
-//! [`mod@dispatch`] is the sans-IO core `mprec-runtime` drives with threads,
-//! and [`mod@replay`] holds its IO-free driver and its independent reference.
+//! [`mod@dispatch`] is that sans-IO core, which `mprec-runtime` drives
+//! with threads; [`mod@replay`] holds its IO-free driver and the
+//! independent `Scheduler`-based reference [`replay()`] it is held to.
 //!
 //! # Examples
 //!
@@ -48,7 +50,7 @@ mod sim;
 pub use outcome::{PathUsage, ServingOutcome};
 pub use policy::Policy;
 pub use replay::{
-    replay, replay_closed_loop, replay_cluster, ClusterChurnSpec, ClusterEpochSpec,
+    platforms_as_nodes, replay, replay_cluster, ClusterChurnSpec, ClusterEpochSpec,
     ClusterReplayBatch, ClusterReplayResult, ClusterReplaySpec, ReplayBatch, ReplayConfig,
     ReplayResult, TenantOutcome,
 };

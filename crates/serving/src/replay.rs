@@ -5,21 +5,22 @@
 //! Two replays of that contract live here, and they are not the same
 //! kind of thing:
 //!
-//! * [`replay`] / [`replay_traced`] is the **independent reference**: a
-//!   single-node discrete-event implementation over
-//!   [`mprec_core::scheduler::Scheduler`] with its own batching loop.
-//!   It shares no stateful code with the dispatcher core, so it can
-//!   catch a mistake the core makes — the engine twin tests and the
-//!   property test in `tests/dispatch_props.rs` hold the one-node core
-//!   to it bit for bit. With a one-sample budget it is also the paper's
-//!   per-query simulator: [`crate::simulate`] runs every figure on it.
 //! * [`replay_cluster`] / [`replay_cluster_traced`] is a **driver** of
-//!   the dispatcher core ([`crate::dispatch`]) over a served cluster's
-//!   recorded spec, with an executor that does no IO. It cannot
+//!   the dispatcher core ([`crate::dispatch`]) with an executor that
+//!   does no IO. Over a served cluster's recorded spec it cannot
 //!   disagree with the runtime about a decision; `tests/sim_vs_runtime.rs`
 //!   uses its batch trail to check what the runtime *executed* (per-node
 //!   cache counters through twin models, adaptive overlays reproduced
-//!   from the spec).
+//!   from the spec). Over [`platforms_as_nodes`] — each platform of a
+//!   mapping set a node — it is the paper's serving model:
+//!   [`crate::simulate`] runs every figure on it with batching off.
+//! * [`replay`] / [`replay_traced`] is the **independent reference**: a
+//!   discrete-event implementation over
+//!   [`mprec_core::scheduler::Scheduler`] (one FIFO queue per platform)
+//!   with its own batching loop. It shares no stateful code with the
+//!   dispatcher core, so it can catch a mistake the core makes — the
+//!   engine twin tests and the properties in `tests/dispatch_props.rs`
+//!   hold the core over [`platforms_as_nodes`] to it bit for bit.
 //!
 //! # Three-tier cache accounting
 //!
@@ -35,9 +36,10 @@ use std::cell::RefCell;
 
 use mprec_core::candidates::RepRole;
 use mprec_core::planner::MappingSet;
+use mprec_core::ring::FeatureShardPlan;
 use mprec_core::scheduler::{Scheduler, SchedulerConfig};
 use mprec_data::query::Query;
-use mprec_data::scenario;
+use mprec_data::scenario::{self, ChaosConfig, FaultPlan};
 use mprec_data::traffic::SlaClass;
 use mprec_trace::{TraceConfig, TraceEvent, TraceRecording};
 
@@ -140,8 +142,6 @@ pub struct ReplayResult {
     pub outcome: ServingOutcome,
     /// The full batch/decision trail, in dispatch order.
     pub batches: Vec<ReplayBatch>,
-    /// Queries class-shed before routing (0 without SLA classes).
-    pub shed_queries: u64,
     /// Per-tenant accounting rows, indexed by tenant id — the twin of
     /// `RuntimeReport::tenants`.
     pub tenants: Vec<TenantOutcome>,
@@ -178,10 +178,10 @@ pub fn replay(mappings: &MappingSet, trace: &[Query], cfg: &ReplayConfig) -> Rep
 /// replay's dispatcher decisions are recorded into a `dispatcher` track
 /// in exactly the runtime engine's event order and virtual stamps —
 /// `Enqueue` at admission, then per flush `BatchFormed`,
-/// `RouteDecision` (with every candidate's scored completion), the one
-/// `Scatter` to node 0 a single-node serve implies, `Execute`, and one
-/// `Complete` per query. The differential tests
-/// compare this track's twin-pinned events against the runtime's.
+/// `RouteDecision` (with every candidate's scored completion), one
+/// `Scatter` to the routed mapping's platform (its node under
+/// [`platforms_as_nodes`]), `Execute`, and one `Complete` per query. The
+/// differential tests compare its twin-pinned events with the core's.
 pub fn replay_traced(
     mappings: &MappingSet,
     trace: &[Query],
@@ -207,7 +207,6 @@ pub fn replay_traced(
     let mut samples = 0u64;
     let mut correct = 0.0f64;
     let mut violations = 0u64;
-    let mut shed_queries = 0u64;
     let mut last_completion = 0.0f64;
     // RefCell because admission (Enqueue) and flush both record; the
     // two closures otherwise could not share a `&mut` ring.
@@ -224,7 +223,6 @@ pub fn replay_traced(
             // whole batch takes an explicit Shed outcome.
             let tt = &mut tenants[tenant];
             for q in pending.iter() {
-                shed_queries += 1;
                 tt.shed_queries += 1;
                 if let Some(r) = ring.borrow_mut().as_mut() {
                     r.record(TraceEvent::shed(flush_at_us, q.id, q.size as u64, backlog_us));
@@ -264,9 +262,9 @@ pub fn replay_traced(
                 decision.mapping_idx as i32,
                 &completions,
             ));
-            // The engine is a one-node cluster: every batch scatters to
-            // node 0 in epoch 0.
-            r.record(TraceEvent::scatter(flush_at_us, batch, 0, 0));
+            // Each platform is a node: the batch scatters to its
+            // mapping's platform in epoch 0.
+            r.record(TraceEvent::scatter(flush_at_us, batch, decision.platform_idx as u32, 0));
             r.record(TraceEvent::execute(
                 done_us - decision.exec_us,
                 batch,
@@ -332,93 +330,10 @@ pub fn replay_traced(
         ReplayResult {
             outcome,
             batches,
-            shed_queries,
             tenants,
         },
         trace_rec,
     )
-}
-
-/// Replays `trace` through a **closed-loop** load driver over the same
-/// mapping set: one outstanding query at a time, the next send gated on
-/// the previous completion, latency measured from the *send* instant.
-/// This is the classic coordinated-omission trap — under overload the
-/// driver silently slows its offered rate, so queue delay the intended
-/// schedule would have accrued never shows up in the measured tail. The
-/// regression test pins [`replay`]'s open-loop p99 strictly above this
-/// driver's p99 on an overloaded cell, so the trap cannot quietly
-/// become the default again.
-pub fn replay_closed_loop(
-    mappings: &MappingSet,
-    trace: &[Query],
-    cfg: &ReplayConfig,
-) -> ReplayResult {
-    let labels: Vec<String> = mappings
-        .mappings
-        .iter()
-        .map(|m| m.label(&mappings.platforms))
-        .collect();
-    let mut sched = Scheduler::new(mappings.clone(), SchedulerConfig::default());
-    let tenant_count = tenant_count_of(trace, cfg);
-    let mut tenants: Vec<TenantOutcome> = vec![TenantOutcome::default(); tenant_count];
-    let mut batches: Vec<ReplayBatch> = Vec::new();
-    let mut usage = PathUsage::default();
-    let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
-    let mut samples = 0u64;
-    let mut correct = 0.0f64;
-    let mut violations = 0u64;
-    let mut last_completion = 0.0f64;
-    let mut completions: Vec<f64> = Vec::new();
-    let mut next_free = 0.0f64;
-    for q in trace {
-        // The closed-loop driver cannot send before the previous query
-        // finished: an overloaded cell pushes the send time back, and
-        // with it the measurement origin.
-        let send_us = (q.arrival_us as f64).max(next_free);
-        sched.advance_to(send_us);
-        let decision = sched
-            .route_into(q.size as u64, cfg.sla_us, &mut completions)
-            .expect("mapping set is never empty");
-        let done_us = sched.commit(&decision);
-        next_free = done_us;
-        let latency = done_us - send_us;
-        if latency > cfg.sla_us {
-            violations += 1;
-        }
-        let tenant = scenario::tenant_of(q.id) as usize;
-        let tt = &mut tenants[tenant];
-        tt.completed += 1;
-        tt.samples += q.size as u64;
-        tt.latency_sum_us += latency;
-        if latency > cfg.class_of(tenant).sla_us {
-            tt.sla_violations += 1;
-        }
-        latencies.push(latency);
-        samples += q.size as u64;
-        correct += q.size as f64 * mappings.mappings[decision.mapping_idx].rep.accuracy as f64;
-        usage.record(&labels[decision.mapping_idx], q.size as u64);
-        last_completion = last_completion.max(done_us);
-        batches.push(ReplayBatch {
-            mapping_idx: decision.mapping_idx,
-            queries: vec![(q.id, q.size as u64)],
-            done_us,
-        });
-    }
-    let outcome = ServingOutcome::from_latency_samples(
-        "replay-closed-loop",
-        latencies,
-        samples,
-        correct,
-        violations,
-        last_completion / 1e6,
-        usage,
-    );
-    ReplayResult {
-        outcome,
-        batches,
-        shed_queries: 0,
-        tenants,
-    }
 }
 
 /// Tenant-axis length (a pure function shared with the dispatcher
@@ -537,6 +452,33 @@ pub struct ClusterReplayResult {
     pub leg_retries: u64,
 }
 
+/// The static cluster `mappings` describes: one node per platform
+/// (node id = platform index, every node live), each mapping scattering
+/// to its own platform's node, no hedge successors, no events, inert
+/// chaos. [`replay_cluster`] over it serves the way [`replay`] does —
+/// one FIFO queue per platform — and a one-platform set is the one-node
+/// engine.
+pub fn platforms_as_nodes(mappings: &MappingSet) -> ClusterReplaySpec {
+    ClusterReplaySpec {
+        epochs: vec![ClusterEpochSpec {
+            targets: mappings
+                .mappings
+                .iter()
+                .map(|m| vec![m.platform_idx as u32])
+                .collect(),
+            mappings: mappings.clone(),
+            live: (0..mappings.platforms.len() as u32).collect(),
+            hedge_next: Vec::new(),
+            // Empty: only the adaptive trigger reads the plan, and
+            // `replay_cluster` never arms it.
+            plan: FeatureShardPlan::for_cluster(0, 1, 0),
+        }],
+        events: Vec::new(),
+        faults: FaultPlan::none(),
+        chaos: ChaosConfig::default(),
+    }
+}
+
 /// Replays `trace` through the **elastic cluster's** serving contract:
 /// the one dispatcher core ([`crate::dispatch`]) over the recorded
 /// `spec`, with an executor that does no IO — it never paces, every
@@ -545,7 +487,8 @@ pub struct ClusterReplayResult {
 /// recorded `spec` events, so the replay switches exactly where the
 /// runtime's trigger said it did. (The runtime drives the same core,
 /// so the two agree on decisions by construction; the independent
-/// reference for the core itself is [`replay`].)
+/// reference for the core itself is [`replay`], over
+/// [`platforms_as_nodes`].)
 pub fn replay_cluster(
     spec: &ClusterReplaySpec,
     trace: &[Query],

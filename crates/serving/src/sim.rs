@@ -1,5 +1,6 @@
-//! The paper's serving experiments: each policy's working set replayed
-//! through the serving reference ([`replay`]) with batching off.
+//! The paper's serving experiments: each policy's working set served
+//! by the dispatcher core ([`replay_cluster`]) with each platform a
+//! node and batching off.
 
 use mprec_core::candidates::RepRole;
 use mprec_core::planner::{Mapping, MappingSet};
@@ -8,7 +9,7 @@ use mprec_data::query::{QueryGenerator, QueryTraceConfig};
 use mprec_hwsim::{Op, Platform};
 
 use crate::outcome::{PathUsage, ServingOutcome};
-use crate::replay::{replay, ReplayConfig};
+use crate::replay::{platforms_as_nodes, replay_cluster, ReplayConfig};
 use crate::Policy;
 
 /// MP-Cache effect applied to compute-path profiles during serving.
@@ -223,11 +224,11 @@ pub fn simulate(mappings: &MappingSet, policy: Policy, cfg: &ServingConfig) -> S
 /// flash-crowd, hot-key drift) runs through the same discrete-event
 /// policy machinery.
 ///
-/// Every policy but [`Policy::QuerySplit`] is the serving reference
-/// [`replay`] with batching off: a one-sample budget flushes each query
-/// alone at its arrival, and with no SLA classes Algorithm 2 routes it
-/// under the full `cfg.sla_us` (floored at 1 µs, as every replay
-/// budget is).
+/// Every policy but [`Policy::QuerySplit`] is the dispatcher core
+/// ([`replay_cluster`]) over [`platforms_as_nodes`] with batching off:
+/// a one-sample budget flushes each query alone at its arrival, and
+/// with no SLA classes Algorithm 2 routes it under the full
+/// `cfg.sla_us` (floored at 1 µs, as every dispatch budget is).
 pub fn simulate_trace(
     mappings: &MappingSet,
     policy: Policy,
@@ -235,7 +236,7 @@ pub fn simulate_trace(
     trace: &[mprec_data::query::Query],
 ) -> ServingOutcome {
     let set = working_set(mappings, policy, cfg);
-    // `replay` expects a non-empty set.
+    // The dispatcher expects a non-empty set.
     if set.mappings.is_empty() {
         return ServingOutcome::empty(policy.to_string());
     }
@@ -248,7 +249,7 @@ pub fn simulate_trace(
         max_batch_wait_us: 0.0,
         classes: Vec::new(),
     };
-    let mut outcome = replay(&set, trace, &unbatched).outcome;
+    let mut outcome = replay_cluster(&platforms_as_nodes(&set), trace, &unbatched).outcome;
     outcome.policy = policy.to_string();
     outcome
 }

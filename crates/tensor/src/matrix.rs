@@ -108,11 +108,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics

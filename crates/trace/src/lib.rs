@@ -238,8 +238,10 @@ impl TraceEvent {
     }
 
     /// Routing decision for batch `id`: `chosen` mapping index with the
-    /// full per-candidate completion vector (rejected candidates
-    /// included) and the SLA budget that framed the choice.
+    /// per-candidate completion vector (rejected candidates included)
+    /// and the SLA budget that framed the choice. Only the first
+    /// [`MAX_PATHS`] candidates' completions are recorded; `chosen` may
+    /// index past them (a two-platform paper set has six mappings).
     pub fn route_decision(
         t_us: f64,
         batch: u64,
@@ -516,12 +518,6 @@ impl EventRing {
     /// [`EventRing::dropped_events`].
     pub fn sampled_out(&self) -> u64 {
         self.sampled_out
-    }
-
-    /// The ring's sampling rate: every `n`-th recorded event is kept
-    /// (1 keeps everything).
-    pub fn sample_every(&self) -> u64 {
-        self.every
     }
 
     /// Events lost to drop-oldest spill; always exactly
@@ -832,7 +828,8 @@ impl TraceRecording {
                                 self.path_labels.len()
                             ));
                         }
-                        if !e.costs[idx as usize].is_finite() {
+                        // Only the first MAX_PATHS costs are recorded.
+                        if e.costs.get(idx as usize).is_some_and(|c| !c.is_finite()) {
                             return Err(format!(
                                 "{}[{}]: chosen candidate has non-finite cost",
                                 track.name, i

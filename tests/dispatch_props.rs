@@ -1,80 +1,89 @@
 //! The dispatcher core against its independent reference, explored
 //! rather than sampled.
 //!
-//! `mprec_serving::dispatch` (driven here by `replay_cluster` over a
-//! one-node spec) and the `Scheduler`-based `replay` are both pure
-//! functions of `(mappings, trace, config)` and share no stateful code:
-//! the core keeps its own `free_at` ledger, batching loop and masks,
+//! `mprec_serving::dispatch` (driven here by `replay_cluster` over
+//! `platforms_as_nodes`, each platform a node) and the
+//! `Scheduler`-based `replay` are both pure functions of
+//! `(mappings, trace, config)` and share no stateful code: the core
+//! keeps its own per-node `free_at` ledger, batching loop and masks,
 //! the reference routes through `Scheduler::route_classed_into` +
-//! `commit` behind its private `drive_batches`. So a thread-free
-//! property can hold one to the other bit for bit over random seeds,
-//! offered loads, load scenarios, batching budgets and tenant classes —
-//! where `sim_vs_runtime.rs`'s engine twins do it for six hand-picked
-//! configs, each spinning up worker threads.
+//! `commit` (one queue per platform) behind its private
+//! `drive_batches`. So a thread-free property can hold one to the other
+//! bit for bit over random seeds, offered loads, load scenarios,
+//! batching budgets and tenant classes — on one node, and on two nodes
+//! of different speed — where `sim_vs_runtime.rs`'s engine twins do it
+//! for six hand-picked one-node configs, each spinning up worker
+//! threads.
 
 use mprec::core::candidates::{CandidateRep, RepRole};
 use mprec::core::planner::{Mapping, MappingSet};
 use mprec::core::profile::LatencyProfile;
-use mprec::core::ring::FeatureShardPlan;
 use mprec::data::query::{Query, QueryTraceConfig};
-use mprec::data::scenario::{self, ChaosConfig, FaultPlan, LoadScenario};
+use mprec::data::scenario::{self, LoadScenario};
 use mprec::data::traffic::{SlaClass, TenantSpec, TrafficConfig};
 use mprec::embed::RepresentationConfig;
 use mprec::hwsim::{Platform, WorkloadBuilder};
 use mprec::serving::replay::{
-    replay_cluster_traced, replay_traced, ClusterEpochSpec, ClusterReplaySpec, ReplayConfig,
+    platforms_as_nodes, replay_cluster_traced, replay_traced, ReplayConfig,
 };
 use mprec::trace::TraceConfig;
 use proptest::prelude::*;
 
-/// Three analytic paths — slow accurate hybrid, DHE, fast table
-/// fallback — on one platform; `scale` stretches the two DHE-bearing
-/// paths so some cases saturate and some do not.
-fn mappings(scale: f64) -> MappingSet {
+/// Three analytic paths per platform — slow accurate hybrid, DHE, fast
+/// table fallback — with `overhead_us` fixed cost and `speed` dividing
+/// the per-sample cost; `scale` stretches the two DHE-bearing paths so
+/// some cases saturate and some do not.
+fn mappings(scale: f64, platforms: &[(Platform, f64, f64)]) -> MappingSet {
     let builder = WorkloadBuilder::new("dispatch-props", vec![1000, 1000], 8);
     let sizes: Vec<u64> = vec![1, 16, 64, 256, 1024, 4096];
-    let mk = |name: &str, role, per_sample_us: f64, accuracy| Mapping {
-        rep: CandidateRep {
-            name: name.into(),
-            role,
-            config: RepresentationConfig::table(8),
-            workload: builder.table(8).expect("workload"),
-            accuracy,
-        },
-        platform_idx: 0,
-        profile: LatencyProfile::from_points(
-            sizes.clone(),
-            sizes
-                .iter()
-                .map(|&n| 30.0 + n as f64 * per_sample_us)
-                .collect(),
-        ),
+    let paths = [
+        ("hybrid", RepRole::Hybrid, 40.0 * scale, 0.7898),
+        ("dhe", RepRole::Dhe, 25.0 * scale, 0.7894),
+        ("table", RepRole::Table, 2.0, 0.7879),
+    ];
+    let mut set = MappingSet {
+        platforms: Vec::new(),
+        mappings: Vec::new(),
     };
-    MappingSet {
-        platforms: vec![Platform::cpu()],
-        mappings: vec![
-            mk("hybrid", RepRole::Hybrid, 40.0 * scale, 0.7898),
-            mk("dhe", RepRole::Dhe, 25.0 * scale, 0.7894),
-            mk("table", RepRole::Table, 2.0, 0.7879),
-        ],
+    for (platform_idx, (platform, overhead_us, speed)) in platforms.iter().enumerate() {
+        set.platforms.push(platform.clone());
+        for &(name, role, per_sample_us, accuracy) in &paths {
+            set.mappings.push(Mapping {
+                rep: CandidateRep {
+                    name: name.into(),
+                    role,
+                    config: RepresentationConfig::table(8),
+                    workload: builder.table(8).expect("workload"),
+                    accuracy,
+                },
+                platform_idx,
+                profile: LatencyProfile::from_points(
+                    sizes.clone(),
+                    sizes
+                        .iter()
+                        .map(|&n| overhead_us + n as f64 * per_sample_us / speed)
+                        .collect(),
+                ),
+            });
+        }
     }
+    set
 }
 
-/// The one-node cluster the single-node reference corresponds to: every
-/// path scatters to node 0, nothing ever changes, chaos is inert.
-fn one_node_spec(mappings: &MappingSet) -> ClusterReplaySpec {
-    ClusterReplaySpec {
-        epochs: vec![ClusterEpochSpec {
-            targets: vec![vec![0]; mappings.mappings.len()],
-            mappings: mappings.clone(),
-            live: vec![0],
-            hedge_next: Vec::new(),
-            plan: FeatureShardPlan::for_cluster(1, 8, 2),
-        }],
-        events: Vec::new(),
-        faults: FaultPlan::none(),
-        chaos: ChaosConfig::default(),
-    }
+/// One CPU node.
+fn one_platform(scale: f64) -> MappingSet {
+    mappings(scale, &[(Platform::cpu(), 30.0, 1.0)])
+}
+
+/// A CPU and a GPU node: the GPU pays a launch overhead and runs each
+/// sample 2.5x faster, so small batches favour the CPU and large ones
+/// the GPU. Six candidates — more than a `RouteDecision` records costs
+/// for.
+fn two_platforms(scale: f64) -> MappingSet {
+    mappings(
+        scale,
+        &[(Platform::cpu(), 30.0, 1.0), (Platform::gpu(), 120.0, 2.5)],
+    )
 }
 
 /// A loose class whose ladder is tight enough to walk narrow ->
@@ -138,6 +147,49 @@ fn workload(
     (mix.generate(seed), classes)
 }
 
+/// Serves `trace` through the core over `platforms_as_nodes(set)` and
+/// through the reference, and demands the same batches, decisions,
+/// `done_us` bits, tenant rows, outcome and pinned trace events.
+fn core_matches_reference(
+    set: &MappingSet,
+    trace: &[Query],
+    cfg: &ReplayConfig,
+) -> Result<(), TestCaseError> {
+    let (want, want_rec) = replay_traced(set, trace, cfg, TraceConfig::enabled());
+    let (got, got_rec) =
+        replay_cluster_traced(&platforms_as_nodes(set), trace, cfg, TraceConfig::enabled());
+
+    prop_assert_eq!(got.batches.len(), want.batches.len(), "batch count");
+    for (i, (g, w)) in got.batches.iter().zip(&want.batches).enumerate() {
+        prop_assert_eq!(g.mapping_idx, w.mapping_idx, "batch {} decision", i);
+        prop_assert_eq!(&g.queries, &w.queries, "batch {} members", i);
+        prop_assert_eq!(g.done_us.to_bits(), w.done_us.to_bits(), "batch {} done_us", i);
+        prop_assert!(g.epoch_idx == 0 && !g.retried, "batch {} left epoch 0", i);
+    }
+    prop_assert_eq!(&got.tenants, &want.tenants, "per-tenant rows");
+    let offered: u64 = got.tenants.iter().map(|t| t.completed + t.shed_queries).sum();
+    prop_assert_eq!(offered, trace.len() as u64, "tenant rows partition the trace");
+    let (g, w) = (&got.outcome, &want.outcome);
+    prop_assert_eq!(g.completed, w.completed);
+    prop_assert_eq!(g.samples, w.samples);
+    prop_assert_eq!(g.sla_violations, w.sla_violations);
+    prop_assert_eq!(&g.usage, &w.usage);
+    prop_assert_eq!(g.correct_samples.to_bits(), w.correct_samples.to_bits());
+    prop_assert_eq!(g.p99_latency_us.to_bits(), w.p99_latency_us.to_bits());
+    prop_assert_eq!(g.span_s.to_bits(), w.span_s.to_bits());
+
+    let (got_rec, want_rec) = (got_rec.expect("core trace"), want_rec.expect("reference trace"));
+    got_rec.validate().map_err(TestCaseError::Fail)?;
+    want_rec.validate().map_err(TestCaseError::Fail)?;
+    let got_events = got_rec.track("dispatcher").expect("core track").pinned_events();
+    let want_events = want_rec.track("dispatcher").expect("reference track").pinned_events();
+    prop_assert_eq!(got_events.len(), want_events.len(), "pinned event count");
+    for (i, (g, w)) in got_events.iter().zip(&want_events).enumerate() {
+        prop_assert_eq!(g, w, "pinned event #{}", i);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -152,41 +204,24 @@ proptest! {
         shed_single in 0u32..2,
         scale in 0.25f64..2.0,
     ) {
-        let set = mappings(scale);
         let (trace, classes) = workload(seed, qps, scenario_pick, tenants, shed_single == 1);
         let cfg = ReplayConfig { sla_us: 2_500.0, max_batch_samples, max_batch_wait_us, classes };
-        let (want, want_rec) = replay_traced(&set, &trace, &cfg, TraceConfig::enabled());
-        let (got, got_rec) =
-            replay_cluster_traced(&one_node_spec(&set), &trace, &cfg, TraceConfig::enabled());
+        core_matches_reference(&one_platform(scale), &trace, &cfg)?;
+    }
 
-        prop_assert_eq!(got.batches.len(), want.batches.len(), "batch count");
-        for (i, (g, w)) in got.batches.iter().zip(&want.batches).enumerate() {
-            prop_assert_eq!(g.mapping_idx, w.mapping_idx, "batch {} decision", i);
-            prop_assert_eq!(&g.queries, &w.queries, "batch {} members", i);
-            prop_assert_eq!(g.done_us.to_bits(), w.done_us.to_bits(), "batch {} done_us", i);
-            prop_assert!(g.epoch_idx == 0 && !g.retried, "batch {} left epoch 0", i);
-        }
-        prop_assert_eq!(&got.tenants, &want.tenants, "per-tenant rows");
-        prop_assert_eq!(got.shed_queries, want.shed_queries, "shed queries");
-        let offered: u64 = got.tenants.iter().map(|t| t.completed + t.shed_queries).sum();
-        prop_assert_eq!(offered, trace.len() as u64, "tenant rows partition the trace");
-        let (g, w) = (&got.outcome, &want.outcome);
-        prop_assert_eq!(g.completed, w.completed);
-        prop_assert_eq!(g.samples, w.samples);
-        prop_assert_eq!(g.sla_violations, w.sla_violations);
-        prop_assert_eq!(&g.usage, &w.usage);
-        prop_assert_eq!(g.correct_samples.to_bits(), w.correct_samples.to_bits());
-        prop_assert_eq!(g.p99_latency_us.to_bits(), w.p99_latency_us.to_bits());
-        prop_assert_eq!(g.span_s.to_bits(), w.span_s.to_bits());
-
-        let (got_rec, want_rec) = (got_rec.expect("core trace"), want_rec.expect("reference trace"));
-        got_rec.validate().map_err(TestCaseError::Fail)?;
-        want_rec.validate().map_err(TestCaseError::Fail)?;
-        let got_events = got_rec.track("dispatcher").expect("core track").pinned_events();
-        let want_events = want_rec.track("dispatcher").expect("reference track").pinned_events();
-        prop_assert_eq!(got_events.len(), want_events.len(), "pinned event count");
-        for (i, (g, w)) in got_events.iter().zip(&want_events).enumerate() {
-            prop_assert_eq!(g, w, "pinned event #{}", i);
-        }
+    #[test]
+    fn two_node_core_matches_the_scheduler_reference(
+        seed in 0u64..1_000_000,
+        qps in 1_000.0f64..12_000.0,
+        scenario_pick in 0usize..4,
+        max_batch_samples in 8usize..96,
+        max_batch_wait_us in 200.0f64..4_000.0,
+        tenants in 1usize..4,
+        shed_single in 0u32..2,
+        scale in 0.25f64..2.0,
+    ) {
+        let (trace, classes) = workload(seed, qps, scenario_pick, tenants, shed_single == 1);
+        let cfg = ReplayConfig { sla_us: 2_500.0, max_batch_samples, max_batch_wait_us, classes };
+        core_matches_reference(&two_platforms(scale), &trace, &cfg)?;
     }
 }

@@ -5,9 +5,11 @@
 //! The constants were recorded from the per-query `Scheduler` loop that
 //! `simulate_trace` used to run (one route + commit per query, with the
 //! static and table-switching policies routed "fastest completion
-//! first"). The figures now run on the reference `replay` with batching
-//! off, so this file is the proof that the serving loop reproduces the
-//! deleted one bit for bit. Never re-record them for a refactor.
+//! first"). The figures now run on the dispatcher core
+//! (`replay_cluster` over `platforms_as_nodes`, each platform a node)
+//! with batching off, so this file is the proof that the serving loop
+//! reproduces the deleted one bit for bit. Never re-record them for a
+//! refactor.
 
 use mprec::core::candidates::{default_accuracy_book, paper_candidates, RepRole};
 use mprec::core::planner::{plan, MappingSet};

@@ -1039,7 +1039,8 @@ fn multi_tenant_engine_twins_agree_per_tenant() {
     );
     let paths = engine.paths().to_vec();
     assert_agreement(&report, &sim, &paths);
-    assert_eq!(report.shed_queries, sim.shed_queries, "shed accounting");
+    let sim_shed: u64 = sim.tenants.iter().map(|t| t.shed_queries).sum();
+    assert_eq!(report.shed_queries, sim_shed, "shed accounting");
     assert_tenant_twin_agreement(&report.tenants, &sim.tenants, trace.len() as u64);
     assert_eq!(
         report.cache,
