@@ -1,10 +1,13 @@
-//! The serving figures, pinned: each bin below, run at its defaults,
+//! The paper's figures, pinned: each bin below, run at its defaults,
 //! must print its committed golden `figures/<bin>.txt` byte for byte.
 //!
-//! These are the ten bins that serve traces through `simulate`, so a
-//! change to the serving stack that moves a paper figure fails here.
-//! A change that means to move one re-records its golden with `just
-//! figures-bless` in the same diff and says why.
+//! These are every deterministic bin that finishes in seconds: the ten
+//! that serve traces through `simulate`, and the hardware-model,
+//! footprint, scaling and MP-Cache bins. A change that moves a paper
+//! figure fails here. A change that means to move one re-records its
+//! golden with `just figures-bless` in the same diff and says why. The
+//! three training bins (fig03, fig04, table2), `calibrate` and
+//! `trace_viz` are not pinned: they take minutes or write files.
 
 use std::path::Path;
 use std::process::Command;
@@ -60,4 +63,12 @@ goldens!(
     table4_constrained,
     ablation_mpcache,
     ablation_scheduler,
+    fig05_operator_breakdown,
+    fig07_accelerator_grid,
+    fig16_mpcache,
+    fig18_scaling,
+    table1_systems,
+    table3_footprints,
+    calibrate_hw,
+    ablation_cache_policy,
 );

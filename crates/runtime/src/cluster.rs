@@ -4,8 +4,9 @@
 //!
 //! One machine's worker pool and one MP-Cache only go so far. This
 //! module serves a trace across a *changing* set of simulated nodes —
-//! and it is the runtime's only dispatcher: the single-node
-//! [`Engine`](crate::Engine) is the `nodes = 1` case of this cluster.
+//! and it is the runtime's only dispatcher: a single-node
+//! [`RuntimeConfig`](crate::RuntimeConfig) converts into its `nodes = 1`
+//! case.
 //!
 //! * a **consistent-hash feature-shard router**
 //!   ([`FeatureShardPlan`] over [`mprec_core::ring::HashRing`])
@@ -34,9 +35,10 @@
 //!   charging the *slowest shard* — the max over the path's scatter
 //!   targets of that node's per-sample embedding FLOPs scaled by its
 //!   capacity budget ([`ClusterConfig::node_capacity_gflops`]) — plus
-//!   the shared top-MLP merge cost and a per-batch network overhead of
-//!   0, 1, or 2 × [`ClusterConfig::net_overhead_us`] for colocated,
-//!   single-target (pruned), and fan-out scatters respectively;
+//!   the shared top-MLP merge cost, a fixed 30 µs dispatch overhead
+//!   per batch, and 0, 1, or 2 network hops of 150 µs each for
+//!   colocated, single-target (pruned), and fan-out scatters
+//!   respectively;
 //! * each node carries a **virtual backlog**: a dispatched batch
 //!   occupies every scatter target until the batch's merge completes,
 //!   so an overloaded shard back-pressures Algorithm 2 toward cheaper
@@ -125,7 +127,7 @@ use parking_lot::{Condvar, Mutex};
 
 pub use mprec_core::ring::FeatureShardPlan;
 
-use crate::engine::{build_path_mappings, PathAccuracy, RoutePolicy, TenantReport};
+use crate::engine::{build_path_mappings, RoutePolicy, TenantReport};
 use crate::histogram::LatencyHistogram;
 use crate::model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};
 use crate::queue::BoundedQueue;
@@ -174,12 +176,6 @@ pub struct ClusterConfig {
     /// Default virtual compute rate per node (GFLOP/s) for the
     /// critical-path latency profiles.
     pub virtual_gflops: f64,
-    /// Fixed virtual per-batch dispatch overhead (µs).
-    pub dispatch_overhead_us: f64,
-    /// Virtual network overhead per hop (µs): a fan-out scatter/gather
-    /// charges two hops per batch, a shard-pruned single-target batch
-    /// one, a single-node colocated cluster zero.
-    pub net_overhead_us: f64,
     /// Virtual per-sample penalty (µs) charged to a path whose scatter
     /// targets a node serving DHE features with cold RAM tiers — i.e. in
     /// the epoch right after that node joined, when its lookups are
@@ -187,8 +183,6 @@ pub struct ClusterConfig {
     /// The penalty is folded into the epoch's latency profiles, so
     /// Algorithm 2 routes around the cold tier. 0 disables the charge.
     pub disk_hit_us: f64,
-    /// Per-path accuracy book.
-    pub accuracy: PathAccuracy,
     /// Flight-recorder config: when enabled, the dispatcher, every node
     /// worker, and the merger each record the query lifecycle into a
     /// preallocated per-track [`EventRing`], assembled into
@@ -300,10 +294,7 @@ impl Default for ClusterConfig {
             pace_ingress: false,
             route: RoutePolicy::MpRec,
             virtual_gflops: 2.0,
-            dispatch_overhead_us: 30.0,
-            net_overhead_us: 150.0,
             disk_hit_us: 2.0,
-            accuracy: PathAccuracy::default(),
             recorder: TraceConfig::default(),
             faults: FaultPlan::default(),
             chaos: ChaosConfig::default(),
@@ -677,17 +668,24 @@ pub struct Cluster {
 impl Cluster {
     /// Builds the replicas, the per-epoch shard plans (walking the churn
     /// schedule through the ring's remap-diff API), and the
-    /// capacity-aware slowest-shard mapping set of every epoch.
+    /// capacity-aware slowest-shard mapping set of every epoch. Takes a
+    /// [`ClusterConfig`] or a one-node
+    /// [`RuntimeConfig`](crate::RuntimeConfig).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::BadConfig`] on degenerate configuration —
     /// zero nodes/workers/batch budget, a NaN, a non-positive SLA or rate,
-    /// a negative wait or overhead, an unsorted churn schedule, failing an
-    /// unknown or last-remaining node, joining a live node, or reusing a
+    /// a negative wait or disk penalty, an unsorted churn schedule, failing
+    /// an unknown or last-remaining node, joining a live node, or reusing a
     /// node id — and propagates model-construction errors.
-    pub fn new(cfg: ClusterConfig) -> Result<Self> {
-        let mut cfg = cfg;
+    pub fn new(cfg: impl Into<ClusterConfig>) -> Result<Self> {
+        // One non-generic body: the build code is compiled once,
+        // whatever config type the caller passes.
+        Self::build(cfg.into())
+    }
+
+    fn build(mut cfg: ClusterConfig) -> Result<Self> {
         if cfg.tenants.is_enabled() {
             cfg.tenants.validate().map_err(RuntimeError::BadConfig)?;
             // Default the per-tenant ID skews off the traffic spec so a
@@ -709,14 +707,14 @@ impl Cluster {
         // What the virtual clock divides by and adds. NaN fails every
         // comparison; `sla_us: +inf` is a legal "no SLA".
         let rate_ok = |r: &f64| r.is_finite() && *r > 0.0;
-        let spans = [cfg.max_batch_wait_us, cfg.dispatch_overhead_us, cfg.net_overhead_us, cfg.disk_hit_us];
+        let spans = [cfg.max_batch_wait_us, cfg.disk_hit_us];
         let floats_ok = cfg.sla_us > 0.0
             && rate_ok(&cfg.virtual_gflops)
             && cfg.node_capacity_gflops.iter().all(rate_ok)
             && spans.iter().all(|&v| v >= 0.0);
         if !floats_ok {
             return Err(RuntimeError::BadConfig(
-                "sla_us > 0, gflops rates finite and > 0, waits, overheads and disk_hit_us >= 0".into(),
+                "sla_us > 0, gflops rates finite and > 0, max_batch_wait_us and disk_hit_us >= 0".into(),
             ));
         }
         // The single-stream trace's shape (a tenanted cluster serves the
@@ -935,8 +933,8 @@ impl Cluster {
         &self.paths
     }
 
-    /// The first replica's model (the single-node engine's only one).
-    pub(crate) fn boot_model(&self) -> &RuntimeModel {
+    /// The first replica's model (a one-node cluster's only one).
+    pub fn model(&self) -> &RuntimeModel {
         &self.nodes[0].model
     }
 
@@ -1540,15 +1538,6 @@ impl Executor for Threaded<'_> {
     }
 }
 
-/// Convenience: build a cluster and serve once.
-///
-/// # Errors
-///
-/// Propagates [`Cluster::new`] and [`Cluster::serve`] errors.
-pub fn serve_cluster(cfg: ClusterConfig) -> Result<ClusterReport> {
-    Cluster::new(cfg)?.serve()
-}
-
 /// A node's virtual compute budget (GFLOP/s): its entry by node id,
 /// falling back to the uniform `virtual_gflops`.
 fn capacity_of(cfg: &ClusterConfig, id: u32) -> f64 {
@@ -1629,6 +1618,13 @@ fn path_assignment(
         .collect()
 }
 
+/// Fixed virtual per-batch dispatch overhead (µs).
+const DISPATCH_OVERHEAD_US: f64 = 30.0;
+/// Virtual network overhead per hop (µs): a fan-out scatter/gather
+/// charges two hops per batch, a shard-pruned single-target batch one,
+/// a colocated never-churned single-node cluster zero.
+const NET_OVERHEAD_US: f64 = 150.0;
+
 /// Builds one epoch: the pruned per-path assignments and the
 /// capacity-aware slowest-shard mapping set. Per path, the per-sample
 /// cost is the max over its scatter targets of the target's embedding
@@ -1664,10 +1660,9 @@ fn build_epoch(
             .position(|&p| p == path)
             .expect("builder only asks for routed paths")]
     };
-    let (mut mappings, paths) = build_path_mappings(
+    let mut mappings = build_path_mappings(
         &cfg.model,
-        cfg.route,
-        cfg.accuracy,
+        &order,
         |path| {
             let targets = assignment_of(path).len();
             let hops = if !distributed {
@@ -1677,7 +1672,7 @@ fn build_epoch(
             } else {
                 2.0
             };
-            cfg.dispatch_overhead_us + hops * cfg.net_overhead_us
+            DISPATCH_OVERHEAD_US + hops * NET_OVERHEAD_US
         },
         |path| {
             let slowest = assignment_of(path)
@@ -1690,7 +1685,6 @@ fn build_epoch(
             (slowest + model.top_flops_per_sample()) / rate
         },
     )?;
-    debug_assert_eq!(paths, order);
     if let Some(j) = joined {
         if cfg.disk_hit_us > 0.0 {
             for (i, &path) in order.iter().enumerate() {
@@ -1885,6 +1879,7 @@ fn sleep_until(start: Instant, virtual_us: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve;
 
     fn quick_cfg(nodes: usize) -> ClusterConfig {
         ClusterConfig {
@@ -1974,8 +1969,6 @@ mod tests {
             ("zero rate", ClusterConfig { virtual_gflops: 0.0, ..base() }),
             ("negative rate", ClusterConfig { virtual_gflops: -1.0, ..base() }),
             ("infinite rate", ClusterConfig { virtual_gflops: f64::INFINITY, ..base() }),
-            ("NaN dispatch overhead", ClusterConfig { dispatch_overhead_us: f64::NAN, ..base() }),
-            ("negative net overhead", ClusterConfig { net_overhead_us: -5.0, ..base() }),
             ("NaN disk penalty", ClusterConfig { disk_hit_us: f64::NAN, ..base() }),
             ("NaN capacity", ClusterConfig { node_capacity_gflops: vec![0.5, f64::NAN], ..base() }),
             ("zero capacity", ClusterConfig { node_capacity_gflops: vec![0.0], ..base() }),
@@ -2233,12 +2226,12 @@ mod tests {
     #[test]
     fn outcome_counts_are_worker_count_invariant_even_under_churn() {
         let base = with_churn(quick_cfg(3));
-        let a = serve_cluster(ClusterConfig {
+        let a = serve(ClusterConfig {
             workers_per_node: 1,
             ..base.clone()
         })
         .unwrap();
-        let b = serve_cluster(ClusterConfig {
+        let b = serve(ClusterConfig {
             workers_per_node: 3,
             ..base
         })
@@ -2261,7 +2254,7 @@ mod tests {
         // topologies even though pruned scatter changes who executes
         // the replicated table features.
         let mk = |nodes| {
-            serve_cluster(ClusterConfig {
+            serve(ClusterConfig {
                 nodes,
                 model: RuntimeModelConfig {
                     dynamic_cache_entries: 0,
@@ -2325,7 +2318,7 @@ mod tests {
         let mut capacities = vec![base.virtual_gflops; 3];
         capacities[victim as usize] = 0.002;
         let table_fraction = |capacities: Vec<f64>| {
-            let report = serve_cluster(ClusterConfig {
+            let report = serve(ClusterConfig {
                 node_capacity_gflops: capacities,
                 ..base.clone()
             })
@@ -2364,8 +2357,8 @@ mod tests {
             },
             ..quick_cfg(3)
         };
-        let steady = serve_cluster(base.clone()).unwrap();
-        let churned = serve_cluster(with_churn(base)).unwrap();
+        let steady = serve(base.clone()).unwrap();
+        let churned = serve(with_churn(base)).unwrap();
         assert_eq!(churned.outcome.completed, 300);
         let s = steady.cache.encoder_hit_rate();
         let c = churned.cache.encoder_hit_rate();
@@ -2634,8 +2627,8 @@ mod tests {
         // The MP-Cache static tier is profiled on the epoch-0 hot set;
         // drifting the hot keys must cut the hit rate (the scenario's
         // entire point).
-        let steady = serve_cluster(quick_cfg(2)).unwrap();
-        let drift = serve_cluster(ClusterConfig {
+        let steady = serve(quick_cfg(2)).unwrap();
+        let drift = serve(ClusterConfig {
             scenario: LoadScenario::HotKeyDrift { epochs: 8 },
             ..quick_cfg(2)
         })

@@ -1,15 +1,14 @@
-//! The single-node serving engine: the `nodes = 1` case of the elastic
-//! [`Cluster`].
+//! The single-node names: [`RuntimeConfig`] is the one-node shape of a
+//! [`ClusterConfig`], and [`Engine`] is [`Cluster`] itself.
 //!
 //! One box and many boxes are points on one continuum, so there is one
-//! dispatcher: [`Engine`] maps its [`RuntimeConfig`] field for field onto
-//! a one-node [`ClusterConfig`] (no churn, faults, chaos or rebalancing)
-//! and projects the [`ClusterReport`](crate::ClusterReport) back into a
-//! [`RuntimeReport`]. A one-node plan is colocated — every path's
-//! scatter has the single target node 0 and charges zero network hops —
-//! so open-loop ingress, SLA-aware micro-batching, Algorithm 2 in
-//! deterministic virtual time, and the worker pool behave exactly as
-//! described in the [`cluster`](crate::cluster) module docs.
+//! dispatcher: a `RuntimeConfig` converts field for field into a
+//! one-node `ClusterConfig` (no churn, faults, chaos or rebalancing). A
+//! one-node plan is colocated — every path's scatter has the single
+//! target node 0 and charges zero network hops — so open-loop ingress,
+//! SLA-aware micro-batching, Algorithm 2 in deterministic virtual time,
+//! and the worker pool behave exactly as described in the
+//! [`cluster`](crate::cluster) module docs.
 //!
 //! ## Determinism contract
 //!
@@ -18,63 +17,29 @@
 //! dispatcher thread against the trace's *virtual* arrival clock, or are
 //! derived per query id. Worker threads only decide *when* wall-clock
 //! work happens, never *what* work happens, so aggregate
-//! [`ServingOutcome`] counts (completed / samples / correct / virtual
-//! SLA violations / per-path usage) are identical for any worker count.
-//! Measured wall-clock latencies (the histogram percentiles, span,
-//! throughput) are the part reality decides. `tests/engine_golden.rs`
-//! pins the whole deterministic surface against constants recorded from
-//! the engine's former stand-alone dispatcher.
+//! [`ServingOutcome`](crate::ServingOutcome) counts (completed / samples
+//! / correct / virtual SLA violations / per-path usage) are identical
+//! for any worker count. Measured wall-clock latencies (the histogram
+//! percentiles, span, throughput) are the part reality decides.
+//! `tests/engine_golden.rs` pins the whole deterministic surface against
+//! constants recorded from the engine's former stand-alone dispatcher.
 
-use mprec_core::candidates::{CandidateRep, RepRole};
-use mprec_core::mpcache::CacheStats;
+use mprec_core::candidates::{default_accuracy_book, CandidateRep};
 use mprec_core::planner::{Mapping, MappingSet};
 use mprec_core::profile::LatencyProfile;
 use mprec_data::query::QueryTraceConfig;
 use mprec_data::scenario::LoadScenario;
 use mprec_data::traffic::TrafficConfig;
+use mprec_data::DatasetSpec;
 use mprec_embed::{DheConfig, RepresentationConfig};
 use mprec_hwsim::{Platform, WorkloadBuilder};
-use mprec_serving::ServingOutcome;
-use mprec_trace::{TraceConfig, TraceRecording};
+use mprec_serving::replay::degrade_rank_of;
+use mprec_trace::TraceConfig;
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::{Cluster, ClusterConfig, ClusterReport};
 use crate::histogram::LatencyHistogram;
-use crate::model::{PathKind, RuntimeModel, RuntimeModelConfig};
+use crate::model::{PathKind, RuntimeModelConfig};
 use crate::Result;
-
-/// Effective model accuracy per path (the runtime's Table-2 book; the
-/// synthetic model here does not measure accuracy online).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathAccuracy {
-    /// Table-path accuracy.
-    pub table: f32,
-    /// DHE-path accuracy.
-    pub dhe: f32,
-    /// Hybrid-path accuracy (highest).
-    pub hybrid: f32,
-}
-
-impl Default for PathAccuracy {
-    fn default() -> Self {
-        // The Kaggle-shaped accuracy book measured by table2_accuracy.
-        PathAccuracy {
-            table: 0.7879,
-            dhe: 0.7894,
-            hybrid: 0.7898,
-        }
-    }
-}
-
-impl PathAccuracy {
-    /// Accuracy of `path` under this book.
-    pub fn of(&self, path: PathKind) -> f32 {
-        match path {
-            PathKind::Table => self.table,
-            PathKind::Dhe => self.dhe,
-            PathKind::Hybrid => self.hybrid,
-        }
-    }
-}
 
 /// How the dispatcher picks a path per micro-batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +60,8 @@ impl std::fmt::Display for RoutePolicy {
     }
 }
 
-/// Full engine configuration.
+/// The one-node configuration shape: converts into a [`ClusterConfig`]
+/// with `nodes: 1` (see its `From` impl).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// Worker threads executing batches; the bounded work queue holds
@@ -114,7 +80,7 @@ pub struct RuntimeConfig {
     /// `trace`/`scenario` as the load source: arrivals come from
     /// [`TrafficConfig::generate`], each tenant batches separately,
     /// routes under its own [`SlaClass`](mprec_data::traffic::SlaClass),
-    /// and is accounted in [`RuntimeReport::tenants`]. Empty (the
+    /// and is accounted in [`ClusterReport::tenants`]. Empty (the
     /// default) keeps the legacy single-tenant path bit-for-bit.
     pub tenants: TrafficConfig,
     /// Seed for the trace, the model weights, and per-query ID draws.
@@ -135,13 +101,9 @@ pub struct RuntimeConfig {
     /// Virtual compute rate converting model FLOPs into the router's
     /// virtual-time latency profiles (GFLOP/s).
     pub virtual_gflops: f64,
-    /// Fixed virtual per-batch dispatch overhead (µs).
-    pub dispatch_overhead_us: f64,
-    /// Per-path accuracy book.
-    pub accuracy: PathAccuracy,
     /// Flight-recorder gate: when enabled, the dispatcher, every worker
     /// and the merger record virtual-time lifecycle events into
-    /// preallocated rings, returned via [`RuntimeReport::trace`]. Off by
+    /// preallocated rings, returned via [`ClusterReport::trace`]. Off by
     /// default (the `trace` field name was already taken by the
     /// query-trace shape, so the recorder gate lives here).
     pub recorder: TraceConfig,
@@ -171,13 +133,44 @@ impl Default for RuntimeConfig {
             pace_ingress: false,
             route: RoutePolicy::MpRec,
             virtual_gflops: 2.0,
-            dispatch_overhead_us: 30.0,
-            accuracy: PathAccuracy::default(),
             recorder: TraceConfig::default(),
             model: RuntimeModelConfig::default(),
         }
     }
 }
+
+impl From<RuntimeConfig> for ClusterConfig {
+    /// The one-node cluster: `workers` become node 0's pool, every
+    /// shared field carries over, and everything elastic (churn, faults,
+    /// chaos, rebalancing, per-node capacities) stays at its inert
+    /// default.
+    fn from(cfg: RuntimeConfig) -> Self {
+        ClusterConfig {
+            nodes: 1,
+            workers_per_node: cfg.workers,
+            cache_shards: cfg.cache_shards,
+            trace: cfg.trace,
+            scenario: cfg.scenario,
+            tenants: cfg.tenants,
+            seed: cfg.seed,
+            sla_us: cfg.sla_us,
+            max_batch_samples: cfg.max_batch_samples,
+            max_batch_wait_us: cfg.max_batch_wait_us,
+            pace_ingress: cfg.pace_ingress,
+            route: cfg.route,
+            virtual_gflops: cfg.virtual_gflops,
+            recorder: cfg.recorder,
+            model: cfg.model,
+            ..ClusterConfig::default()
+        }
+    }
+}
+
+/// The single-node serving engine is a [`Cluster`] built from a
+/// [`RuntimeConfig`]. The name exists only because the frozen benchmark
+/// (`benchmark/`) names it; it goes when the benchmark moves to
+/// `Cluster` (ROADMAP item 12).
+pub type Engine = Cluster;
 
 /// Per-tenant virtual-time accounting for one run: deterministic
 /// dispatcher-side tallies (identical across worker counts, pinned
@@ -219,179 +212,38 @@ impl TenantReport {
     }
 }
 
-/// Everything one serve produced: the simulator-shaped outcome plus the
-/// runtime-only telemetry.
-#[derive(Debug)]
-pub struct RuntimeReport {
-    /// Aggregate results in the same shape the simulator emits.
-    pub outcome: ServingOutcome,
-    /// Merged MP-Cache stats for the run.
-    pub cache: CacheStats,
-    /// Merged measured-latency histogram.
-    pub histogram: LatencyHistogram,
-    /// Queries whose *virtual-time* completion exceeded the SLA.
-    pub virtual_sla_violations: u64,
-    /// Queries whose *measured* latency exceeded the SLA.
-    pub measured_sla_violations: u64,
-    /// Queries routed by the dispatcher (must equal `outcome.completed`).
-    pub routed_queries: u64,
-    /// Queries shed by the SLA-class ladder before execution
-    /// (`routed_queries + shed_queries` == trace length).
-    pub shed_queries: u64,
-    /// Per-tenant accounting, indexed by tenant id (one row — tenant
-    /// 0 — for legacy traces).
-    pub tenants: Vec<TenantReport>,
-    /// Path chosen per dispatched micro-batch, in dispatch order — the
-    /// deterministic decision trail the differential sim-vs-runtime
-    /// tests compare against the replay simulator.
-    pub path_decisions: Vec<PathKind>,
-    /// Sum of all top-MLP scores (output checksum).
-    pub checksum: f64,
-    /// Worker count the run used.
-    pub workers: usize,
-    /// Flight-recorder tracks (`dispatcher`, `node-0-worker-{w}`,
-    /// `merger`) when [`RuntimeConfig::recorder`] was enabled, `None`
-    /// otherwise.
-    pub trace: Option<TraceRecording>,
-}
-
-/// The single-node serving engine: build once, serve a trace.
-#[derive(Debug)]
-pub struct Engine {
-    cfg: RuntimeConfig,
-    cluster: Cluster,
-}
-
-impl Engine {
-    /// Builds the one-node cluster behind the engine: the model and the
-    /// virtual-time mapping set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::BadConfig`](crate::RuntimeError::BadConfig)
-    /// on degenerate configuration and propagates model-construction
-    /// errors.
-    pub fn new(cfg: RuntimeConfig) -> Result<Self> {
-        let cluster = Cluster::new(ClusterConfig {
-            nodes: 1,
-            workers_per_node: cfg.workers,
-            cache_shards: cfg.cache_shards,
-            trace: cfg.trace,
-            scenario: cfg.scenario,
-            tenants: cfg.tenants.clone(),
-            seed: cfg.seed,
-            sla_us: cfg.sla_us,
-            max_batch_samples: cfg.max_batch_samples,
-            max_batch_wait_us: cfg.max_batch_wait_us,
-            pace_ingress: cfg.pace_ingress,
-            route: cfg.route,
-            virtual_gflops: cfg.virtual_gflops,
-            dispatch_overhead_us: cfg.dispatch_overhead_us,
-            accuracy: cfg.accuracy,
-            recorder: cfg.recorder,
-            model: cfg.model.clone(),
-            // Everything elastic stays at its inert default: no churn,
-            // faults, chaos or rebalancing. A never-churned one-node
-            // plan is colocated, so `net_overhead_us` is charged zero
-            // times and its value is irrelevant.
-            ..ClusterConfig::default()
-        })?;
-        // The cluster normalizes the model config (per-tenant ID skews
-        // default off the traffic spec); report the normalized shape.
-        let cfg = RuntimeConfig {
-            model: cluster.config().model.clone(),
-            ..cfg
-        };
-        Ok(Engine { cfg, cluster })
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
-    }
-
-    /// The serving model.
-    pub fn model(&self) -> &RuntimeModel {
-        self.cluster.boot_model()
-    }
-
-    /// The virtual-time mapping set the dispatcher routes on — shared
-    /// with the replay simulator so sim-vs-runtime differential tests
-    /// route over identical latency profiles.
-    pub fn mapping_set(&self) -> &MappingSet {
-        self.cluster.mapping_set()
-    }
-
-    /// Execution path per mapping index (parallel to
-    /// [`Engine::mapping_set`]).
-    pub fn paths(&self) -> &[PathKind] {
-        self.cluster.paths()
-    }
-
-    /// Serves the configured trace on the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces any worker-side execution error.
-    pub fn serve(&self) -> Result<RuntimeReport> {
-        let r = self.cluster.serve()?;
-        Ok(RuntimeReport {
-            outcome: ServingOutcome {
-                policy: format!("runtime:{}@{}w", self.cfg.route, self.cfg.workers),
-                ..r.outcome
-            },
-            cache: r.cache,
-            histogram: r.histogram,
-            virtual_sla_violations: r.virtual_sla_violations,
-            measured_sla_violations: r.measured_sla_violations,
-            routed_queries: r.routed_queries,
-            shed_queries: r.shed_queries,
-            tenants: r.tenants,
-            path_decisions: r.path_decisions,
-            checksum: r.checksum,
-            workers: self.cfg.workers,
-            trace: r.trace,
-        })
-    }
-}
-
 /// The SLA-class degrade rank of a path: the order the class-pressure
 /// ladder turns candidates off under backlog (hybrid first, then DHE;
-/// the table path is never masked). The dispatcher derives the same
-/// ranks from each mapping's `RepRole`
-/// (`mprec_serving::replay::degrade_rank_of`); this is the path-kind
-/// view of that table for callers that hold `PathKind`s.
+/// the table path is never masked) — the dispatcher's
+/// [`degrade_rank_of`] over the path's [`PathKind::role`]. Only the
+/// frozen benchmark names it.
 pub fn degrade_rank(path: PathKind) -> u32 {
-    match path {
-        PathKind::Hybrid => 2,
-        PathKind::Dhe => 1,
-        PathKind::Table => 0,
-    }
+    degrade_rank_of(path.role())
 }
 
-/// Convenience: build an engine and serve once.
+/// Convenience: build a cluster and serve once (a [`RuntimeConfig`]
+/// serves on one node).
 ///
 /// # Errors
 ///
-/// Propagates [`Engine::new`] and [`Engine::serve`] errors.
-pub fn serve(cfg: RuntimeConfig) -> Result<RuntimeReport> {
-    Engine::new(cfg)?.serve()
+/// Propagates [`Cluster::new`] and [`Cluster::serve`] errors.
+pub fn serve(cfg: impl Into<ClusterConfig>) -> Result<ClusterReport> {
+    Cluster::new(cfg)?.serve()
 }
 
 /// Builds the single-platform mapping set the virtual-time router runs
-/// on: one mapping per selected path, ordered `[hybrid, dhe, table]`,
-/// each with an analytic latency profile from caller-supplied per-sample
-/// virtual latency and per-batch overhead (the cluster front-end passes
-/// its slowest-shard critical-path cost, and an overhead that charges
-/// fewer network hops to paths whose pruned scatter reaches a single
-/// node).
+/// on: one mapping per entry of `paths`, in that order, each with its
+/// role's Kaggle-row accuracy from the Table-2 book and an analytic
+/// latency profile from caller-supplied per-sample virtual latency and
+/// per-batch overhead (the cluster front-end passes its slowest-shard
+/// critical-path cost, and an overhead that charges fewer network hops
+/// to paths whose pruned scatter reaches a single node).
 pub(crate) fn build_path_mappings(
     m: &RuntimeModelConfig,
-    route: RoutePolicy,
-    accuracy: PathAccuracy,
+    paths: &[PathKind],
     overhead_us_of: impl Fn(PathKind) -> f64,
     per_sample_us_of: impl Fn(PathKind) -> f64,
-) -> Result<(MappingSet, Vec<PathKind>)> {
+) -> Result<MappingSet> {
     let builder = WorkloadBuilder::new(
         "runtime",
         vec![m.rows_per_feature; m.sparse_features],
@@ -403,30 +255,25 @@ pub(crate) fn build_path_mappings(
         h: m.dhe_h,
         out_dim: m.emb_dim,
     };
-    let all: [(PathKind, RepRole); 3] = [
-        (PathKind::Hybrid, RepRole::Hybrid),
-        (PathKind::Dhe, RepRole::Dhe),
-        (PathKind::Table, RepRole::Table),
-    ];
-    let selected: Vec<(PathKind, RepRole)> = match route {
-        RoutePolicy::MpRec => all.to_vec(),
-        RoutePolicy::Fixed(p) => all.iter().copied().filter(|&(k, _)| k == p).collect(),
-    };
-    let mut mappings = Vec::with_capacity(selected.len());
-    let mut paths = Vec::with_capacity(selected.len());
-    for (path, role) in selected {
-        let (config, workload) = match path {
+    // The synthetic model does not measure accuracy online.
+    let book = default_accuracy_book(&DatasetSpec::kaggle_sim(1));
+    let mut mappings = Vec::with_capacity(paths.len());
+    for &path in paths {
+        let (config, workload, accuracy) = match path {
             PathKind::Table => (
                 RepresentationConfig::table(m.emb_dim),
                 builder.table(m.emb_dim)?,
+                book.table,
             ),
             PathKind::Dhe => (
                 RepresentationConfig::dhe(dhe_cfg),
                 builder.dhe(m.dhe_k, m.dhe_dnn, m.dhe_h, m.emb_dim)?,
+                book.dhe,
             ),
             PathKind::Hybrid => (
                 RepresentationConfig::hybrid(m.emb_dim, dhe_cfg),
                 builder.hybrid(m.emb_dim, m.dhe_k, m.dhe_dnn, m.dhe_h, m.emb_dim)?,
+                book.hybrid,
             ),
         };
         let per_sample_us = per_sample_us_of(path);
@@ -439,23 +286,19 @@ pub(crate) fn build_path_mappings(
         mappings.push(Mapping {
             rep: CandidateRep {
                 name: path.to_string(),
-                role,
+                role: path.role(),
                 config,
                 workload,
-                accuracy: accuracy.of(path),
+                accuracy,
             },
             platform_idx: 0,
             profile: LatencyProfile::from_points(sizes, lats),
         });
-        paths.push(path);
     }
-    Ok((
-        MappingSet {
-            platforms: vec![Platform::cpu()],
-            mappings,
-        },
-        paths,
-    ))
+    Ok(MappingSet {
+        platforms: vec![Platform::cpu()],
+        mappings,
+    })
 }
 
 #[cfg(test)]
@@ -492,6 +335,61 @@ mod tests {
             max_batch_samples: 32,
             ..RuntimeConfig::default()
         }
+    }
+
+    #[test]
+    fn runtime_config_converts_to_the_one_node_cluster() {
+        use mprec_data::traffic::TenantSpec;
+        let rc = RuntimeConfig {
+            workers: 3,
+            cache_shards: 5,
+            trace: QueryTraceConfig {
+                num_queries: 123,
+                ..quick_cfg().trace
+            },
+            scenario: LoadScenario::HotKeyDrift { epochs: 3 },
+            tenants: TrafficConfig::new(vec![TenantSpec::ranking("t", 10, 100.0)]),
+            seed: 7,
+            sla_us: 1_234.0,
+            max_batch_samples: 17,
+            max_batch_wait_us: 321.0,
+            pace_ingress: true,
+            route: RoutePolicy::Fixed(PathKind::Dhe),
+            virtual_gflops: 3.5,
+            recorder: TraceConfig::enabled(),
+            model: quick_cfg().model,
+        };
+        let c = ClusterConfig::from(rc.clone());
+        let d = RuntimeConfig::default();
+        assert_ne!(rc.workers, d.workers);
+        assert_eq!((c.nodes, c.workers_per_node), (1, rc.workers));
+        macro_rules! shared {
+            ($($f:ident),*) => {$(
+                assert_ne!(rc.$f, d.$f, "{} is set off its default", stringify!($f));
+                assert_eq!(c.$f, rc.$f, "{} carries over", stringify!($f));
+            )*};
+        }
+        shared!(
+            cache_shards,
+            trace,
+            scenario,
+            tenants,
+            seed,
+            sla_us,
+            max_batch_samples,
+            max_batch_wait_us,
+            pace_ingress,
+            route,
+            virtual_gflops,
+            recorder,
+            model
+        );
+        let inert = ClusterConfig::default();
+        assert_eq!(c.churn, inert.churn);
+        assert_eq!(c.faults, inert.faults);
+        assert_eq!(c.chaos, inert.chaos);
+        assert_eq!(c.rebalance, inert.rebalance);
+        assert_eq!(c.node_capacity_gflops, inert.node_capacity_gflops);
     }
 
     #[test]

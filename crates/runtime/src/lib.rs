@@ -15,6 +15,10 @@
 //! latency percentiles stream through a mergeable log-bucketed
 //! [`LatencyHistogram`].
 //!
+//! [`Cluster`] is the one server: a [`RuntimeConfig`] is its one-node
+//! configuration shape and converts into a [`ClusterConfig`], and
+//! [`serve`] takes either and returns a [`ClusterReport`].
+//!
 //! # Examples
 //!
 //! ```
@@ -56,13 +60,10 @@ mod model;
 mod queue;
 
 pub use cluster::{
-    serve_cluster, Cluster, ClusterConfig, ClusterEpoch, ClusterReport, ClusterScratch,
-    EpochReport, FeatureShardPlan, RebalanceConfig,
+    Cluster, ClusterConfig, ClusterEpoch, ClusterReport, ClusterScratch, EpochReport,
+    FeatureShardPlan, RebalanceConfig,
 };
-pub use engine::{
-    degrade_rank, serve, Engine, PathAccuracy, RoutePolicy, RuntimeConfig, RuntimeReport,
-    TenantReport,
-};
+pub use engine::{degrade_rank, serve, Engine, RoutePolicy, RuntimeConfig, TenantReport};
 pub use histogram::LatencyHistogram;
 pub use model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};
 pub use queue::BoundedQueue;

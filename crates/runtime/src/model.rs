@@ -4,6 +4,7 @@
 //! runs on the worker pool (unlike the simulator, which charges profiled
 //! latencies).
 
+use mprec_core::candidates::RepRole;
 use mprec_core::mpcache::{
     BatchScratch, DecoderCache, EncoderCache, ShardedCacheConfig, ShardedMpCache,
 };
@@ -57,6 +58,18 @@ impl std::fmt::Display for PathKind {
             PathKind::Table => write!(f, "table"),
             PathKind::Dhe => write!(f, "dhe"),
             PathKind::Hybrid => write!(f, "hybrid"),
+        }
+    }
+}
+
+impl PathKind {
+    /// The representation role this path plays in Algorithm 1's
+    /// candidate set — the one path-to-role table.
+    pub fn role(self) -> RepRole {
+        match self {
+            PathKind::Table => RepRole::Table,
+            PathKind::Dhe => RepRole::Dhe,
+            PathKind::Hybrid => RepRole::Hybrid,
         }
     }
 }

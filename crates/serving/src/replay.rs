@@ -143,13 +143,13 @@ pub struct ReplayResult {
     /// The full batch/decision trail, in dispatch order.
     pub batches: Vec<ReplayBatch>,
     /// Per-tenant accounting rows, indexed by tenant id — the twin of
-    /// `RuntimeReport::tenants`.
+    /// `ClusterReport::tenants`.
     pub tenants: Vec<TenantOutcome>,
 }
 
 impl ReplayResult {
     /// Mapping index per batch — the decision trail differential tests
-    /// compare against `RuntimeReport::path_decisions`.
+    /// compare against `ClusterReport::path_decisions`.
     pub fn decisions(&self) -> Vec<usize> {
         self.batches.iter().map(|b| b.mapping_idx).collect()
     }

@@ -5,7 +5,7 @@
 //! wall-clock scheduling.
 
 use mprec::data::query::QueryTraceConfig;
-use mprec::runtime::{serve, RoutePolicy, RuntimeConfig, RuntimeModelConfig, RuntimeReport};
+use mprec::runtime::{serve, ClusterReport, RoutePolicy, RuntimeConfig, RuntimeModelConfig};
 
 fn base_cfg() -> RuntimeConfig {
     RuntimeConfig {
@@ -42,7 +42,7 @@ fn base_cfg() -> RuntimeConfig {
     }
 }
 
-fn run_with_workers(workers: usize) -> RuntimeReport {
+fn run_with_workers(workers: usize) -> ClusterReport {
     serve(RuntimeConfig {
         workers,
         ..base_cfg()

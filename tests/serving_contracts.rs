@@ -12,8 +12,8 @@
 use mprec::data::query::QueryTraceConfig;
 use mprec::data::scenario::{self, ChaosConfig, FaultPlan, LoadScenario};
 use mprec::runtime::{
-    serve_cluster, ClusterConfig, ClusterReport, PathKind, RebalanceConfig, RoutePolicy,
-    RuntimeModelConfig, TraceConfig,
+    ClusterConfig, ClusterReport, PathKind, RebalanceConfig, RoutePolicy, RuntimeModelConfig,
+    TraceConfig,
 };
 
 const QUERIES: usize = 1_500;
@@ -44,7 +44,7 @@ fn span_us(cfg: &ClusterConfig) -> f64 {
 }
 
 fn serve(cfg: ClusterConfig) -> ClusterReport {
-    serve_cluster(cfg).expect("cluster builds and serves")
+    mprec::runtime::serve(cfg).expect("cluster builds and serves")
 }
 
 /// A cluster serve's `outcome` counts SLA violations in virtual time.

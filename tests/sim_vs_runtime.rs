@@ -21,7 +21,7 @@ use mprec::data::scenario::{self, ChurnAction, LoadScenario};
 use mprec::data::traffic::{SlaClass, TenantSpec, TrafficConfig};
 use mprec::runtime::{
     serve, Cluster, ClusterConfig, ClusterReport, PathKind, RebalanceConfig, RuntimeConfig,
-    RuntimeModel, RuntimeModelConfig, RuntimeReport, TenantReport,
+    RuntimeModel, RuntimeModelConfig, TenantReport,
 };
 use mprec::serving::replay::{
     replay, replay_cluster, replay_cluster_traced, replay_traced, ClusterReplayResult,
@@ -72,7 +72,7 @@ fn runtime_cfg(workers: usize, dynamic_entries: usize) -> RuntimeConfig {
 
 /// Runs the runtime engine and the replay simulator on one config and
 /// returns both results plus the path list of the shared mapping set.
-fn run_both(cfg: RuntimeConfig) -> (RuntimeReport, ReplayResult, Vec<PathKind>) {
+fn run_both(cfg: RuntimeConfig) -> (ClusterReport, ReplayResult, Vec<PathKind>) {
     let engine = mprec::runtime::Engine::new(cfg.clone()).expect("engine builds");
     let report = engine.serve().expect("runtime serves");
     let trace = scenario::generate(cfg.trace, cfg.scenario, cfg.seed);
@@ -90,7 +90,7 @@ fn run_both(cfg: RuntimeConfig) -> (RuntimeReport, ReplayResult, Vec<PathKind>) 
 }
 
 /// Asserts the deterministic (virtual-time) agreement contract.
-fn assert_agreement(report: &RuntimeReport, sim: &ReplayResult, paths: &[PathKind]) {
+fn assert_agreement(report: &ClusterReport, sim: &ReplayResult, paths: &[PathKind]) {
     assert_eq!(report.outcome.completed, sim.outcome.completed, "completed");
     assert_eq!(report.outcome.samples, sim.outcome.samples, "samples");
     assert_eq!(
